@@ -172,7 +172,7 @@ def deep_bfs(
     with meter.phase(CHILD_PHASE):
         for level in range(1, query.depth + 1):
             temp = make_temp(
-                db.pool, _TEMP_SCHEMA, ((k,) for k in frontier), prefix="deep"
+                db.pool, _TEMP_SCHEMA, [(k,) for k in frontier], prefix="deep"
             )
             sorted_temp = external_sort(
                 db.pool, temp, key=lambda r: r[0], distinct=dedup

@@ -111,7 +111,7 @@ class SmartStrategy(Strategy):
                 if not keys:
                     continue
                 temp = make_temp(
-                    pool, TEMP_SCHEMA, ((k,) for k in keys), prefix="smart-temp"
+                    pool, TEMP_SCHEMA, [(k,) for k in keys], prefix="smart-temp"
                 )
                 sorted_temp = external_sort(pool, temp, key=lambda r: r[0])
                 probe_keys = (record[0] for record in sorted_temp.scan())

@@ -12,7 +12,10 @@ the four paths those experiments spend their time in, in isolation:
 * ``btree_probe``     — random B-tree lookups (descent + leaf collect),
   the inner loop of every DFS-family strategy;
 * ``join_inner``      — the merge-probe join's coordinated forward walk
-  over sorted probe keys, the inner loop of BFS.
+  over sorted probe keys, the inner loop of BFS;
+* ``temp_spool``      — filling temporaries of OIDs the way BFS does:
+  many five-record lists into one temporary, then one large list into a
+  sort run (the heap's chunked append path).
 
 Timing is nanosecond-resolution (:func:`time.perf_counter_ns`) with
 ``--warmup`` unmeasured leading passes: every benchmark reports
@@ -41,7 +44,9 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.oid import Oid
+from repro.core.strategies.bfs import TEMP_SCHEMA
 from repro.query.join import merge_probe_join
+from repro.query.temp import make_temp
 from repro.storage.catalog import Catalog
 from repro.storage.record import CharField, IntField, OidListField, Schema
 from repro.util.fingerprint import code_fingerprint
@@ -266,6 +271,47 @@ def bench_join_inner(
     return result
 
 
+def bench_temp_spool(
+    repeat: int, lists: int = 4000, per_list: int = 5, warmup: int = 1
+) -> Dict[str, Any]:
+    """Spool OIDs into temporaries with BFS's shape (one op = one record).
+
+    Phase 1 of BFS appends each parent's children as a short list to one
+    temporary; ``external_sort`` then writes its sorted batch as one
+    large list into a run.  Both go through the paper's 100-page buffer.
+    """
+    catalog = Catalog(buffer_pages=100)
+    rng = random.Random(19)
+    batches = [
+        [(rng.randrange(1 << 20),) for _ in range(per_list)] for _ in range(lists)
+    ]
+    run_records = sorted(record for batch in batches for record in batch)
+    records = 2 * len(run_records)
+
+    def spool_all() -> int:
+        temp = make_temp(catalog.pool, TEMP_SCHEMA, prefix="bench-spool")
+        for batch in batches:
+            temp.insert_many(batch)
+        run = make_temp(catalog.pool, TEMP_SCHEMA, run_records, prefix="bench-run")
+        count = temp.num_records + run.num_records
+        temp.drop()
+        run.drop()
+        return count
+
+    times, spooled = _time_ns(spool_all, repeat, warmup)
+    if spooled != records:
+        raise AssertionError("temp spool lost records: %d != %d" % (spooled, records))
+    seconds = min(times) / 1e9
+    result = {
+        "records": records,
+        "lists": lists,
+        "seconds": round(seconds, 6),
+        "records_per_second": round(records / seconds, 1),
+    }
+    result.update(_op_fields(times, records))
+    return result
+
+
 def _bench_snapshot(scale: float = 0.05):
     """A frozen workload database for the attach benchmarks."""
     from repro.storage.snapshot import Snapshot
@@ -345,6 +391,7 @@ BENCHMARKS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "heap_scan": bench_heap_scan,
     "btree_probe": bench_btree_probe,
     "join_inner": bench_join_inner,
+    "temp_spool": bench_temp_spool,
     "arena_attach": bench_arena_attach,
     "pickle_attach": bench_pickle_attach,
 }

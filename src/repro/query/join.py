@@ -9,7 +9,10 @@ Two joins cover everything the paper's strategies need:
   qualifying inner leaf page is touched once, and leaves containing no
   probe key are skipped via (hot) index pages.  Duplicate outer keys hit
   the already-resident leaf, which is why BFSNODUP "is not much better
-  than simple BFS" in Figure 3.
+  than simple BFS" in Figure 3.  Each distinct key is one
+  :meth:`~repro.storage.btree.BTreeCursor.probe`; a probe whose matches
+  lie on the cursor's current leaf costs one bisect and one slice, its
+  ``2 + 2*matches`` leaf touches counted in one step.
 
 * :func:`iterative_substitution_join` — the nested-loop join INGRES calls
   iterative substitution: one full B-tree descent per outer key, in outer
@@ -22,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs.trace import stage
-from repro.storage.btree import BTreeCursor, BTreeFile
+from repro.storage.btree import BTreeFile
 
 Projector = Callable[[Tuple[Any, ...]], Any]
 
@@ -39,34 +42,29 @@ def merge_probe_join(
     join.  Keys absent from the inner are skipped silently (no such keys
     arise in the reproduction workload, but the operator is total).
 
+    Each distinct key is one :meth:`BTreeCursor.probe`, which accounts
+    all of that key's leaf touches before its matches are yielded (the
+    same counts and order as a touch per yielded match, for a consumer
+    that performs no pool operations between yields — every strategy
+    drains the join into a list).  A repeated key re-emits the previous
+    matches without touching the leaf again.
+
     Traced page accesses are attributed to the ``merge-join`` stage for
     the generator's whole lifetime, including reads the *outer* stream
     performs while being pulled (scanning the sorted temporary is part
     of the join's cost).
     """
     with stage("merge-join"):
-        cursor = inner.cursor()
-        seek = cursor.seek
-        current = cursor.current
-        advance = cursor.advance
-        key_index = inner._key_index
+        probe = inner.cursor().probe
         last_key = object()
-        last_matches: List[Any] = []
+        matches: List[Any] = []
         for key in sorted_keys:
-            if key == last_key:
-                # Same leaf, already resident: re-emit without re-probing.
-                yield from last_matches
-                continue
-            seek(key)
-            last_key = key
-            last_matches = []
-            record = current()
-            while record is not None and record[key_index] == key:
-                value = project(record) if project is not None else record
-                last_matches.append(value)
-                yield value
-                advance()
-                record = current()
+            if key != last_key:
+                last_key = key
+                matches = probe(key)
+                if project is not None:
+                    matches = [project(record) for record in matches]
+            yield from matches
 
 
 def iterative_substitution_join(

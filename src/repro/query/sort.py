@@ -122,7 +122,8 @@ def _write_run(
     distinct: bool = False,
 ) -> TempRelation:
     batch.sort(key=key)
-    records = _unique(batch, key) if distinct else batch
+    # A list (not the lazy generator) takes the heap's chunked append path.
+    records = list(_unique(batch, key)) if distinct else batch
     return make_temp(pool, schema, records, prefix="sort-run")
 
 

@@ -40,8 +40,14 @@ epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
   order provably cannot change; :meth:`BufferPool.replay_writable`
   collapses it into one call (guarded: falls back to the slow path when
   the lookup crossed a leaf boundary or the pool is tiny);
-* the cursor holds a ``(frame, epoch)`` lease on its current leaf so the
-  merge join's repeated same-leaf probes cost one counter bump each.
+* the cursor holds a ``(frame, epoch)`` lease on its current leaf, and
+  :meth:`BTreeCursor.probe` — the merge join's only entry point — serves
+  a probe whose whole match run lies on that leaf (lease valid,
+  ``keys[0] <= key < keys[-1]``) with one bisect and one slice, counting
+  the ``2 + 2*matches`` touches of the literal ``seek``/``current``/
+  ``advance`` sequence in one step.  Every other probe (broken lease,
+  key off the leaf, a run reaching the leaf's last key) runs that
+  sequence itself.
 """
 
 from __future__ import annotations
@@ -86,7 +92,8 @@ class BTreeCursor:
     the target is on the current or the immediately following leaf the
     cursor advances sequentially (no index descent); otherwise it descends
     from the root.  This is exactly the access pattern of a merge join
-    whose outer is sorted.
+    whose outer is sorted; :meth:`probe` runs one key's whole
+    seek-and-collect step.
     """
 
     __slots__ = ("tree", "_page_no", "_slot", "_lease_no", "_frame", "_epoch")
@@ -120,6 +127,43 @@ class BTreeCursor:
         self._frame = frame
         self._epoch = pool.epoch
         return frame.page
+
+    def probe(self, key: Any) -> List[Tuple[Any, ...]]:
+        """Every record with key ``key``; the cursor ends just past them.
+
+        Accounting-identical to ``seek(key)``, then ``current()`` and one
+        ``advance()``/``current()`` pair per match.  On the current leaf
+        those are ``2 + 2*matches`` touches of one page, so when the
+        lease is valid and ``keys[0] <= key < keys[-1]`` (the run ends
+        before the leaf does) they are counted in one step; any other
+        probe runs the literal sequence.
+        """
+        page_no = self._page_no
+        pool = self.tree.pool
+        if page_no is not None and page_no == self._lease_no and pool.epoch == self._epoch:
+            page = self._frame.page
+            keys = self.tree._leaf_keys(page)
+            if keys and keys[0] <= key < keys[-1]:
+                lo = bisect.bisect_left(keys, key)
+                hi = bisect.bisect_right(keys, key, lo)
+                touches = 2 + 2 * (hi - lo)
+                pool.stats.hits += touches
+                pool.epoch += touches
+                self._epoch = pool.epoch
+                self._slot = hi
+                records = page.records
+                if records is None:
+                    records = page._materialize()
+                return records[lo:hi]
+        self.seek(key)
+        key_index = self.tree._key_index
+        matches = []
+        record = self.current()
+        while record is not None and record[key_index] == key:
+            matches.append(record)
+            self.advance()
+            record = self.current()
+        return matches
 
     def seek(self, key: Any) -> None:
         """Position at the first record with key >= ``key``.

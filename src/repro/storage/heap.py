@@ -9,9 +9,29 @@ The insert path holds an epoch lease on the tail frame (see
 :mod:`repro.storage.buffer`): while no other pool operation intervenes,
 consecutive appends self-account their tail touches as hits instead of
 going through :meth:`BufferPool.writable` — counters and eviction stream
-bit-identical, an order of magnitude less Python per record.  Scans hand
-out whole decoded pages (:meth:`HeapFile.scan_pages`) so consumers pay one
-pool touch and one method call per page, not per record.
+bit-identical, an order of magnitude less Python per record.
+
+A ``list`` of records is validated whole by one
+:meth:`~repro.storage.record.Schema.validate_many` call before anything
+is appended, so a bad record rejects the entire call.  Then one of two
+append loops runs:
+
+* **chunked** — fixed-size records (every temporary of OIDs, every sort
+  run) are appended one tail-page run at a time: ``k = min(remaining,
+  free_bytes // (size + SLOT_BYTES))`` records go in with one ``extend``,
+  and their ``k`` tail touches advance ``hits``, ``epoch`` and the page
+  ``version`` by ``k`` at once.  Only a broken lease costs a real
+  ``fetch_frame``, so the accounting equals the record-at-a-time loop
+  touch for touch;
+* **record at a time** — variable-size lists, and lazy iterables: a
+  ``heapq.merge`` stream fetches source pages while it is pulled, which
+  breaks the lease between records.  A lazy iterable is validated as it
+  is pulled, so a bad record leaves its predecessors inserted.
+
+:meth:`HeapFile.insert` appends a one-record list.
+Scans hand out whole decoded pages (:meth:`HeapFile.scan_pages`) so
+consumers pay one pool touch and one method call per page, not per
+record.
 """
 
 from __future__ import annotations
@@ -81,61 +101,105 @@ class HeapFile:
     # ------------------------------------------------------------------
     def insert(self, record: Tuple[Any, ...]) -> RecordId:
         """Append ``record`` to the tail page; return its address."""
-        self.schema.validate(record)
-        size = self._fixed_size
-        if size is None:
-            size = self.schema.record_size(record)
-        pool = self.pool
-        if self._tail_page_no is not None:
-            # One tail touch, exactly as pool.writable() would account it:
-            # lease-collapsed when nothing happened since the last touch,
-            # a real fetch otherwise.
-            frame = self._tail_frame
-            if frame is not None and pool.epoch == self._tail_epoch:
-                pool.stats.hits += 1
-                pool.epoch += 1
-                self._tail_epoch = pool.epoch
-            else:
-                frame = pool.fetch_frame(PageId(self.file_id, self._tail_page_no))
-                self._tail_frame = frame
-                self._tail_epoch = pool.epoch
-            page = frame.page
-            if page.frozen:
-                page = pool.disk.cow_page(page.page_id)
-                frame.page = page
-            if page.fits(size):
-                slot = page.insert(record, size)
-                frame.dirty = True
-                self._num_records += 1
-                return RecordId(self._tail_page_no, slot)
-        page = pool.new_page(self.file_id)
-        page.codec = self.schema.codec
-        self._tail_page_no = page.page_id.page_no
-        self._tail_frame = pool.frame_of(page.page_id)
-        self._tail_epoch = pool.epoch
-        slot = page.insert(record, size)
-        self._num_records += 1
-        return RecordId(self._tail_page_no, slot)
+        self.insert_many([record])
+        return RecordId(self._tail_page_no, len(self._tail_frame.page) - 1)
 
     def insert_many(self, records: Iterable[Tuple[Any, ...]]) -> int:
         """Append each record; return how many were inserted.
 
-        Accounting-identical to calling :meth:`insert` once per record —
-        one tail touch per record, the same new-page allocations at the
-        same boundaries — but the per-record Python overhead (method
-        dispatch, RecordId construction, lease revalidation) is paid once
-        per page run instead.  Consecutive touches of the tail collapse
-        into a deferred hit count while no other pool operation
-        intervenes; a pull from a lazy ``records`` iterable that fetches
-        source pages (e.g. a merge stream) breaks the lease and forces a
-        real, accounted re-fetch of the tail, exactly as :meth:`insert`
-        would.
+        Accounting-identical to appending the records one at a time — one
+        tail touch per record, the same new-page allocations at the same
+        boundaries — with the per-record Python overhead paid per page run
+        instead (see the module docstring).  A ``list`` is validated as a
+        whole before anything is appended, so a bad record rejects the
+        entire call; any other iterable is validated record by record as
+        it is pulled, so a bad record leaves the records before it
+        inserted.
+        """
+        if type(records) is list:
+            self.schema.validate_many(records)
+            if self._fixed_size is not None:
+                return self._append_chunks(records)
+            return self._append_each(records, None)
+        return self._append_each(records, self.schema.validate)
+
+    def _append_chunks(self, records: List[Tuple[Any, ...]]) -> int:
+        """Append validated fixed-size ``records`` one tail-page run at a time.
+
+        Each run is one ``extend``: ``k = min(remaining, free_bytes //
+        (size + SLOT_BYTES))`` records, whose ``k`` tail touches advance
+        ``hits``, ``epoch`` and the page ``version`` by ``k`` in one step.
+        Only the first touch of the call can be a real fetch (when the
+        lease is broken); after it the heap itself is the only pool user.
+        A tail that is full still costs the touch that found it full.
+        """
+        n = len(records)
+        pool = self.pool
+        stats = pool.stats
+        size = self._fixed_size
+        total = size + SLOT_BYTES
+        frame = self._tail_frame
+        leased = frame is not None and pool.epoch == self._tail_epoch
+        done = 0
+        try:
+            while done < n:
+                if self._tail_page_no is not None:
+                    touched = 0
+                    if not leased:
+                        frame = pool.fetch_frame(PageId(self.file_id, self._tail_page_no))
+                        touched = 1
+                        leased = True
+                    page = frame.page
+                    if page.frozen:
+                        page = pool.disk.cow_page(page.page_id)
+                        frame.page = page
+                    k = min(n - done, page.free_bytes // total)
+                    collapsed = (k or 1) - touched
+                    stats.hits += collapsed
+                    pool.epoch += collapsed
+                    if k:
+                        page_records = page.records
+                        if page_records is None:
+                            page_records = page._materialize()
+                        page_records.extend(records[done : done + k])
+                        page._sizes.extend([size] * k)
+                        page.used_bytes += k * total
+                        page.free_bytes -= k * total
+                        page.version += k
+                        frame.dirty = True
+                        done += k
+                        continue
+                # Empty file or full tail: the next record opens a new page.
+                page = pool.new_page(self.file_id)
+                page.codec = self.schema.codec
+                self._tail_page_no = page.page_id.page_no
+                frame = pool.frame_of(page.page_id)
+                leased = True
+                page.insert(records[done], size)
+                done += 1
+        finally:
+            self._num_records += done
+            if leased:
+                self._tail_frame = frame
+                self._tail_epoch = pool.epoch
+        return n
+
+    def _append_each(
+        self,
+        records: Iterable[Tuple[Any, ...]],
+        validate: Optional[Callable[[Tuple[Any, ...]], None]],
+    ) -> int:
+        """Record-at-a-time append, for lazy iterables and variable sizes.
+
+        Consecutive tail touches collapse into a deferred hit count while
+        no other pool operation intervenes; a pull from a lazy ``records``
+        iterable that fetches source pages (e.g. a merge stream) breaks
+        the lease and forces a real, accounted re-fetch of the tail.
         """
         pool = self.pool
         stats = pool.stats
         disk = pool.disk
         schema = self.schema
-        validate = schema.validate
         record_size = schema.record_size
         fixed = self._fixed_size
         codec = schema.codec
@@ -150,7 +214,8 @@ class HeapFile:
             expected = pool.epoch
         try:
             for record in records:
-                validate(record)
+                if validate is not None:
+                    validate(record)
                 size = fixed
                 if size is None:
                     size = record_size(record)

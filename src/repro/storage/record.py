@@ -378,6 +378,9 @@ class Schema:
         self.stateless: bool = all(
             isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
         )
+        #: True when every field is an IntField (temporaries of OIDs):
+        #: :meth:`validate_many` then checks a batch without per-field calls.
+        self._all_int: bool = all(type(f) is IntField for f in self.fields)
         #: The schema's byte codec (None for blob schemas or under the
         #: ``REPRO_TUPLE_PAGES`` debug fallback).
         self.codec: Optional[RecordCodec] = (
@@ -412,6 +415,21 @@ class Schema:
             )
         for validator, value in zip(validators, record):
             validator(value)
+
+    def validate_many(self, records: Sequence[Sequence[Any]]) -> None:
+        """:meth:`validate` every record of a batch; raise on the first bad one.
+
+        All-``IntField`` schemas check the whole batch in one tight loop
+        (arity, then ``type(v) is int``); only a batch that fails it —
+        a bad record, or an ``int`` subclass the exact-type test is too
+        strict for — falls back to :meth:`validate` per record, which
+        raises the precise error or accepts the subclass.
+        """
+        if self._all_int and _exact_int_records(records, len(self._validators)):
+            return
+        validate = self.validate
+        for record in records:
+            validate(record)
 
     def record_size(self, record: Sequence[Any]) -> int:
         """Bytes the record occupies on a page (excluding the slot entry)."""
@@ -501,11 +519,23 @@ class Schema:
         self.stateless = all(
             isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
         )
+        self._all_int = all(type(f) is IntField for f in self.fields)
         if self.stateless and not TUPLE_PAGES_ONLY:
             self.codec = RecordCodec(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "Schema(%s)" % ", ".join(self.names())
+
+
+def _exact_int_records(records: Sequence[Sequence[Any]], arity: int) -> bool:
+    """Whether every record has ``arity`` values, each exactly an ``int``."""
+    for record in records:
+        if len(record) != arity:
+            return False
+        for value in record:
+            if type(value) is not int:
+                return False
+    return True
 
 
 def pad_string(base: str, length: int) -> str:

@@ -9,13 +9,12 @@ for bit: the SHA-256 digest of the physical page-access stream, the
 driver's cost accounting, the buffer pool's hit/miss/eviction counters
 and the unit cache's counters.
 
-The full matrix (11 strategies x 3 configs) takes a few minutes; the
-``golden_digests`` marker lets CI and developers run it explicitly::
+The whole matrix (11 strategies x 3 configs, about 6 s) runs in the
+normal suite.  A smoke subset (one strategy per engine subsystem) is
+kept as its own test so a failure names the subsystem first; the
+``golden_digests`` marker selects the rest of the matrix::
 
     PYTHONPATH=src python -m pytest tests/golden -m golden_digests
-
-A fast smoke subset (one strategy per engine subsystem) runs as part of
-the normal suite so accidental accounting drift is caught early.
 """
 
 import json
@@ -72,10 +71,6 @@ def test_smoke_digest_bit_identical(golden, label, name):
 
 
 @pytest.mark.golden_digests
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_GOLDEN_FULL"),
-    reason="full golden matrix is slow; set REPRO_GOLDEN_FULL=1 (CI does)",
-)
 @pytest.mark.parametrize(
     "label,name",
     [point for point in ALL_POINTS if point not in SMOKE],

@@ -59,10 +59,13 @@ class TestReport:
                 str(tmp_path),
                 "--only",
                 "ablation_buffer",
+                "--bench-out",
+                str(tmp_path / "BENCH_sweeps.json"),
             ]
         )
         assert code == 0
         assert (tmp_path / "ablation_buffer.txt").exists()
+        assert (tmp_path / "BENCH_sweeps.json").exists()
         assert "A2" in capsys.readouterr().out
 
 
