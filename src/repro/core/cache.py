@@ -21,7 +21,7 @@ provided for the A3 ablation, as :class:`InsideUnitCache`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.trace import stage
@@ -43,6 +43,22 @@ def unit_hashkey(child_rel: int, child_keys: Sequence[int]) -> int:
     recursive :func:`stable_hash` walk showed up in sweep profiles.
     """
     return _unit_hashkey_cached((child_rel,) + tuple(child_keys))
+
+
+def _payload_bytes(sizes: Dict[int, int], payload: Any) -> int:
+    """Size of a cached value: the bytes of the concatenated tuples.
+
+    ``sizes`` is the owning cache's registry of exact sizes by payload
+    id.  The cache binds it with :func:`functools.partial`, not as a bound
+    method, so its schema does not point back at the cache: a point's
+    database is then freed by refcount, without the cyclic collector.
+    """
+    size = sizes.get(id(payload))
+    if size is not None:
+        return size
+    # Fallback: payloads are sequences of child tuples; approximate by
+    # a fixed per-tuple estimate when no exact size was registered.
+    return sum(100 for _ in payload)
 
 
 class ILockTable:
@@ -132,8 +148,10 @@ class UnitCache:
         if size_cache <= 0:
             raise ValueError("size_cache must be positive, got %d" % size_cache)
         self.size_cache = size_cache
+        self._payload_sizes: Dict[int, int] = {}
         self.schema = Schema(
-            [IntField("hashkey"), BlobField("value", self._payload_bytes)]
+            [IntField("hashkey"),
+             BlobField("value", partial(_payload_bytes, self._payload_sizes))]
         )
         page_size = catalog.disk.page_size
         units_per_page = max(1, (page_size - 48) // max(1, unit_bytes_hint + 8))
@@ -144,19 +162,6 @@ class UnitCache:
         self._lru: "OrderedDict[int, Tuple[int, Tuple[int, ...]]]" = OrderedDict()
         self.ilocks = ILockTable()
         self.stats = CacheStats()
-        self._payload_sizes: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # size model
-    # ------------------------------------------------------------------
-    def _payload_bytes(self, payload: Any) -> int:
-        """Size of a cached value: the bytes of the concatenated tuples."""
-        size = self._payload_sizes.get(id(payload))
-        if size is not None:
-            return size
-        # Fallback: payloads are sequences of child tuples; approximate by
-        # a fixed per-tuple estimate when no exact size was registered.
-        return sum(100 for _ in payload)
 
     # ------------------------------------------------------------------
     # operations

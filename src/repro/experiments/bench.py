@@ -15,7 +15,9 @@ the four paths those experiments spend their time in, in isolation:
   over sorted probe keys, the inner loop of BFS;
 * ``temp_spool``      — filling temporaries of OIDs the way BFS does:
   many five-record lists into one temporary, then one large list into a
-  sort run (the heap's chunked append path).
+  sort run (the heap's chunked append path);
+* ``cache_probe``     — unit-cache probes and inserts (DFSCACHE's inner
+  loop) over a hash file that keeps allocating overflow pages.
 
 Timing is nanosecond-resolution (:func:`time.perf_counter_ns`) with
 ``--warmup`` unmeasured leading passes: every benchmark reports
@@ -43,6 +45,7 @@ import random
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.cache import UnitCache, unit_hashkey
 from repro.core.oid import Oid
 from repro.core.strategies.bfs import TEMP_SCHEMA
 from repro.query.join import merge_probe_join
@@ -312,6 +315,53 @@ def bench_temp_spool(
     return result
 
 
+def bench_cache_probe(
+    repeat: int, units: int = 2000, size_unit: int = 5, warmup: int = 1
+) -> Dict[str, Any]:
+    """Unit-cache probes and inserts (one op = one ``lookup`` or ``insert``).
+
+    A pass empties the cache, then for every unit misses, inserts and
+    probes again.  The buckets are sized for 100-byte units but each unit
+    holds ``size_unit`` 100-byte child tuples, so the inserts keep
+    allocating overflow pages, as DFSCACHE's cache relation does.
+    """
+    catalog = Catalog(buffer_pages=4096)
+    cache = UnitCache(catalog, size_cache=units, unit_bytes_hint=100)
+    rng = random.Random(23)
+    entries = []
+    for unit in range(units):
+        keys = [unit * size_unit + i for i in range(size_unit)]
+        payload = tuple(_child_record(key, rng) for key in keys)
+        entries.append((unit_hashkey(1, keys), keys, payload))
+    payload_bytes = size_unit * 100
+    ops = 3 * units
+
+    def probe_all() -> Tuple[int, int, int]:
+        cache.reset()
+        lookup = cache.lookup
+        insert = cache.insert
+        for hashkey, keys, payload in entries:
+            lookup(hashkey)
+            insert(hashkey, 1, keys, payload, payload_bytes)
+        hits = sum(1 for hashkey, _, _ in entries if lookup(hashkey) is not None)
+        return cache.relation.num_records, hits, cache.relation.overflow_pages()
+
+    times, (cached, hits, overflow) = _time_ns(probe_all, repeat, warmup)
+    if cached != units or hits != units:
+        raise AssertionError(
+            "unit cache lost units: %d cached, %d hits of %d" % (cached, hits, units)
+        )
+    seconds = min(times) / 1e9
+    result = {
+        "units": units,
+        "overflow_pages": overflow,
+        "seconds": round(seconds, 6),
+        "ops_per_second": round(ops / seconds, 1),
+    }
+    result.update(_op_fields(times, ops))
+    return result
+
+
 def _bench_snapshot(scale: float = 0.05):
     """A frozen workload database for the attach benchmarks."""
     from repro.storage.snapshot import Snapshot
@@ -392,6 +442,7 @@ BENCHMARKS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "btree_probe": bench_btree_probe,
     "join_inner": bench_join_inner,
     "temp_spool": bench_temp_spool,
+    "cache_probe": bench_cache_probe,
     "arena_attach": bench_arena_attach,
     "pickle_attach": bench_pickle_attach,
 }

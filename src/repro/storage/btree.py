@@ -30,24 +30,28 @@ The probe paths (``lookup``, ``update_field``, the cursor) are the
 hottest code in the simulator; they are written against the buffer pool's
 epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
 
-* ``lookup`` runs the descent with direct pool fetches, then emulates the
-  historical cursor loop over the leaf **touch by touch**, collapsing
-  consecutive touches of the same resident leaf into self-accounted hits
-  — every counter and the eviction stream stay bit-identical to the
-  cursor-based implementation, pinned by the golden trace digests;
+* one **same-leaf rule** (:meth:`BTreeFile._same_leaf_run`) serves every
+  probe: ``lookup``, ``lookup_one``, ``update_field`` and the cursor.
+  When ``keys[0] <= key < keys[-1]`` on the leased leaf, the run of
+  matching keys ends before the leaf's last key and the literal
+  ``seek``/``current``/``advance`` walk would make ``2 + 2*matches``
+  hits on that one leaf, so the rule does one ``bisect_left``, one
+  ``bisect_right`` and counts them in one step.  Any other probe walks
+  touch by touch, because that walk really fetches another leaf (the
+  next one, or the root when the cursor's seek descends) — every
+  counter and the eviction stream stay bit-identical, pinned by the
+  golden trace digests;
+* the file's ``PageId`` list belongs to the disk
+  (:meth:`DiskManager.page_ids`), which keeps it complete as the file
+  grows, so the tree holds no copy of its own;
 * ``update_field``'s second root-to-leaf descent re-touches the same
   pages in the same order with no pool operation in between, so the LRU
   order provably cannot change; :meth:`BufferPool.replay_writable`
   collapses it into one call (guarded: falls back to the slow path when
   the lookup crossed a leaf boundary or the pool is tiny);
 * the cursor holds a ``(frame, epoch)`` lease on its current leaf, and
-  :meth:`BTreeCursor.probe` — the merge join's only entry point — serves
-  a probe whose whole match run lies on that leaf (lease valid,
-  ``keys[0] <= key < keys[-1]``) with one bisect and one slice, counting
-  the ``2 + 2*matches`` touches of the literal ``seek``/``current``/
-  ``advance`` sequence in one step.  Every other probe (broken lease,
-  key off the leaf, a run reaching the leaf's last key) runs that
-  sequence itself.
+  :meth:`BTreeCursor.probe` — the merge join's only entry point —
+  applies the same-leaf rule while the lease is valid.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ class BTreeCursor:
             pool.epoch += 1
             self._epoch = pool.epoch
             return self._frame.page
-        frame = pool.fetch_frame(self.tree._page_ids()[page_no])
+        frame = pool.fetch_frame(pool.disk.page_ids(self.tree.file_id)[page_no])
         self._lease_no = page_no
         self._frame = frame
         self._epoch = pool.epoch
@@ -132,23 +136,15 @@ class BTreeCursor:
         """Every record with key ``key``; the cursor ends just past them.
 
         Accounting-identical to ``seek(key)``, then ``current()`` and one
-        ``advance()``/``current()`` pair per match.  On the current leaf
-        those are ``2 + 2*matches`` touches of one page, so when the
-        lease is valid and ``keys[0] <= key < keys[-1]`` (the run ends
-        before the leaf does) they are counted in one step; any other
-        probe runs the literal sequence.
+        ``advance()``/``current()`` pair per match.  With a valid lease the
+        same-leaf rule (:meth:`BTreeFile._same_leaf_run`) may serve it;
+        any other probe runs the literal sequence.
         """
-        page_no = self._page_no
         pool = self.tree.pool
-        if page_no is not None and page_no == self._lease_no and pool.epoch == self._epoch:
+        if self._page_no == self._lease_no and pool.epoch == self._epoch:
             page = self._frame.page
-            keys = self.tree._leaf_keys(page)
-            if keys and keys[0] <= key < keys[-1]:
-                lo = bisect.bisect_left(keys, key)
-                hi = bisect.bisect_right(keys, key, lo)
-                touches = 2 + 2 * (hi - lo)
-                pool.stats.hits += touches
-                pool.epoch += touches
+            lo, hi = self.tree._same_leaf_run(page, key)
+            if hi >= 0:
                 self._epoch = pool.epoch
                 self._slot = hi
                 records = page.records
@@ -250,10 +246,6 @@ class BTreeFile:
         # dominated profile time on B-tree-heavy sweeps.
         self._leaf_key_cache: Dict[int, Tuple[int, List[Any]]] = {}
         self._sep_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # Cached disk.page_ids() list for this (single-writer) file;
-        # dropped whenever the tree allocates a page.  PageId values are
-        # positional, so a cached list is valid until the file grows.
-        self._ids: Optional[List[PageId]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         # The key caches are pure memoization (dropping them skips no
@@ -263,7 +255,6 @@ class BTreeFile:
         state = self.__dict__.copy()
         state["_leaf_key_cache"] = {}
         state["_sep_cache"] = {}
-        state["_ids"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -369,18 +360,10 @@ class BTreeFile:
             level_keys = parent_keys
             self.height += 1
         self._root = level_nos[0]
-        self._ids = None  # the load grew the file
 
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------
-    def _page_ids(self) -> List[PageId]:
-        """The file's ``PageId`` list, cached until the tree allocates."""
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = self.pool.disk.page_ids(self.file_id)
-        return ids
-
     def _fetch(self, page_no: int) -> Page:
         return self.pool.fetch(PageId(self.file_id, page_no))
 
@@ -413,23 +396,6 @@ class BTreeFile:
         self._sep_cache[page_no] = (page.version, seps)
         return seps
 
-    def _descend(self, key: Any) -> List[int]:
-        """Return the page-number path from root to the leaf for ``key``."""
-        if self._root is None:
-            raise KeyNotFoundError("btree %r is empty" % self.name)
-        path = [self._root]
-        node = self._root
-        while not self._meta[node].is_leaf:
-            page = self._fetch(node)
-            seps = self._separators(page)
-            # Child i covers keys in [seps[i], seps[i+1]).
-            idx = bisect.bisect_right(seps, key) - 1
-            if idx < 0:
-                idx = 0
-            node = page.get(idx)[1]
-            path.append(node)
-        return path
-
     def _descend_for_insert(self, key: Any) -> List[int]:
         """Descend for a write, keeping entry-0 separators true bounds.
 
@@ -458,8 +424,7 @@ class BTreeFile:
         return path
 
     def _descend_leaf(self, key: Any, ids: List[PageId]) -> int:
-        """The leaf page number for ``key`` (identical touches to
-        :meth:`_descend`, without materializing the path list)."""
+        """The leaf page number for ``key``: one fetch per internal level."""
         meta = self._meta
         fetch = self.pool.fetch
         sep_cache = self._sep_cache
@@ -485,7 +450,7 @@ class BTreeFile:
         """Leaf page and slot of the first record with key >= ``key``."""
         if self._root is None:
             return None, 0
-        ids = self._page_ids()
+        ids = self.pool.disk.page_ids(self.file_id)
         leaf_no = self._descend_leaf(key, ids)
         page = self.pool.fetch(ids[leaf_no])
         slot = bisect.bisect_left(self._leaf_keys(page), key)
@@ -494,16 +459,46 @@ class BTreeFile:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
+    def _same_leaf_run(self, page: Page, key: Any) -> Tuple[int, int]:
+        """The same-leaf rule: the slots ``[lo, hi)`` of ``key``'s run.
+
+        The caller holds a valid lease on the leaf ``page`` and is about
+        to walk ``key``'s run with the literal seek/current/advance
+        sequence: ``2 + 2*matches`` touches.  When ``keys[0] <= key <
+        keys[-1]`` the seek stays on this leaf and the run ends before
+        its last key, so every touch is a hit on this leaf and they are
+        counted here in one step.  Otherwise nothing is counted and
+        ``hi`` is ``-1``: the walk may fetch another leaf for real (the
+        next one, or the root when a cursor's seek descends), so the
+        caller runs it.
+        """
+        # _leaf_keys inlined for the memo hit: this runs once per probe.
+        cached = self._leaf_key_cache.get(page.page_id.page_no)
+        if cached is not None and cached[0] == page.version:
+            keys = cached[1]
+        else:
+            keys = self._leaf_keys(page)
+        if not keys or not keys[0] <= key < keys[-1]:
+            return 0, -1
+        lo = bisect.bisect_left(keys, key)
+        hi = bisect.bisect_right(keys, key, lo)
+        touches = 2 + 2 * (hi - lo)
+        pool = self.pool
+        pool.stats.hits += touches
+        pool.epoch += touches
+        return lo, hi
+
     def _collect_matches(
         self, leaf_no: int, key: Any, ids: List[PageId]
     ) -> Tuple[List[Tuple[Any, ...]], Optional[int], int, bool]:
         """Gather all records with ``key`` starting from ``leaf_no``.
 
-        Emulates the historical cursor loop (seek / current / advance)
-        **touch by touch**, collapsing runs of touches on the same
-        resident leaf into self-accounted hits under the pool's epoch
-        lease — the counters and eviction stream are bit-identical to the
-        cursor implementation, at a fraction of the Python overhead.
+        Accounting-identical to the cursor loop (seek / current /
+        advance): the real fetch of the leaf, then the same-leaf rule.
+        Any other run (one reaching the leaf's end, or a key below the
+        leaf's first) is walked **touch by touch**, collapsing runs of
+        touches on the same resident leaf into self-accounted hits under
+        the pool's epoch lease.
 
         Returns ``(matches, match_leaf, match_slot, moved)`` where
         ``match_leaf``/``match_slot`` locate the first match and ``moved``
@@ -511,17 +506,19 @@ class BTreeFile:
         the ``update_field`` replay fast path).
         """
         pool = self.pool
-        stats = pool.stats
-        meta = self._meta
-        key_index = self._key_index
         # The real leaf fetch of _find_leaf_slot, opening the lease.
-        frame = pool.fetch_frame(ids[leaf_no])
-        current_no = leaf_no
-        page = frame.page
+        page = pool.fetch_frame(ids[leaf_no]).page
         records = page.records
         if records is None:
             records = page._materialize()
+        lo, hi = self._same_leaf_run(page, key)
+        if hi >= 0:
+            return records[lo:hi], leaf_no, lo, False
         slot = bisect.bisect_left(self._leaf_keys(page), key)
+        stats = pool.stats
+        meta = self._meta
+        key_index = self._key_index
+        current_no = leaf_no
         page_no: Optional[int] = leaf_no
         hits = 0
         out: List[Tuple[Any, ...]] = []
@@ -538,9 +535,8 @@ class BTreeFile:
                         stats.hits += hits
                         pool.epoch += hits
                         hits = 0
-                    frame = pool.fetch_frame(ids[page_no])
+                    page = pool.fetch_frame(ids[page_no]).page
                     current_no = page_no
-                    page = frame.page
                     records = page.records
                     if records is None:
                         records = page._materialize()
@@ -568,16 +564,18 @@ class BTreeFile:
         """All records with exactly ``key`` (one element when unique)."""
         if self._root is None:
             return []
-        ids = self._page_ids()
+        ids = self.pool.disk.page_ids(self.file_id)
         leaf_no = self._descend_leaf(key, ids)
         return self._collect_matches(leaf_no, key, ids)[0]
 
     def lookup_one(self, key: Any) -> Tuple[Any, ...]:
         """The unique record with ``key``; raises KeyNotFoundError."""
-        records = self.lookup(key)
-        if not records:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        return records[0]
+        if self._root is not None:
+            ids = self.pool.disk.page_ids(self.file_id)
+            records = self._collect_matches(self._descend_leaf(key, ids), key, ids)[0]
+            if records:
+                return records[0]
+        raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
 
     def contains(self, key: Any) -> bool:
         return bool(self.lookup(key))
@@ -602,12 +600,10 @@ class BTreeFile:
         key_index = self._key_index
         meta = self._meta
         fetch = self.pool.fetch
+        # The disk grows this list in place, so it stays valid even when
+        # an insert interleaved with the open scan splits a leaf.
+        ids = self.pool.disk.page_ids(self.file_id)
         while page_no is not None:
-            # Re-check the ids cache each leaf: an insert interleaved with
-            # an open scan can split a leaf and grow the file.
-            ids = self._ids
-            if ids is None:
-                ids = self._page_ids()
             page = fetch(ids[page_no])
             records = page.records
             if records is None:
@@ -646,7 +642,6 @@ class BTreeFile:
         size = self.schema.record_size(record)
         if self._root is None:
             page = self.pool.new_page(self.file_id)
-            self._ids = None
             page.codec = self.schema.codec
             no = page.page_id.page_no
             self._meta[no] = _NodeMeta(is_leaf=True)
@@ -683,7 +678,6 @@ class BTreeFile:
         mid = len(records) // 2
         left, right = records[:mid], records[mid:]
         right_page = self.pool.new_page(self.file_id)
-        self._ids = None
         right_page.codec = self.schema.codec
         right_no = right_page.page_id.page_no
         self._meta[right_no] = _NodeMeta(
@@ -701,7 +695,6 @@ class BTreeFile:
     def _insert_separator(self, path: List[int], sep: Any, child_no: int) -> None:
         if not path:  # splitting the root: grow a level
             new_root = self.pool.new_page(self.file_id)
-            self._ids = None
             no = new_root.page_id.page_no
             self._meta[no] = _NodeMeta(is_leaf=False)
             old_root = self._root
@@ -725,7 +718,6 @@ class BTreeFile:
         mid = len(entries) // 2
         left, right = entries[:mid], entries[mid:]
         right_page = self.pool.new_page(self.file_id)
-        self._ids = None
         right_no = right_page.page_id.page_no
         self._meta[right_no] = _NodeMeta(is_leaf=False)
         for e in left:
@@ -791,7 +783,7 @@ class BTreeFile:
         """
         if self._root is None:
             raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        ids = self._page_ids()
+        ids = self.pool.disk.page_ids(self.file_id)
         leaf_no = self._descend_leaf(key, ids)
         out, match_leaf, match_slot, moved = self._collect_matches(leaf_no, key, ids)
         if not out:

@@ -96,6 +96,7 @@ class DiskManager:
         """Discard every page of ``file_id``, keeping the file itself."""
         self._require_file(file_id)
         self._files[file_id] = []
+        self._page_id_cache.pop(file_id, None)
 
     def shrink_file(self, file_id: int, num_pages: int) -> None:
         """Drop every page past the first ``num_pages`` of ``file_id``.
@@ -105,6 +106,7 @@ class DiskManager:
         """
         self._require_file(file_id)
         del self._files[file_id][num_pages:]
+        self._page_id_cache.pop(file_id, None)
 
     def file_exists(self, file_id: int) -> bool:
         return file_id in self._files
@@ -130,17 +132,16 @@ class DiskManager:
         A file's page at index ``i`` is invariantly addressed by
         ``PageId(file_id, i)`` — allocation only ever appends, and
         :meth:`cow_page` swaps the page *object* while keeping its
-        address — so the list depends only on the file's length.  The
-        cache is rebuilt whenever the length changed (allocation,
-        truncate, shrink), which makes sequential scans allocate zero
-        ``PageId`` tuples in steady state.
+        address.  The disk owns the list and keeps it complete:
+        :meth:`allocate_page` appends to it in place, and truncate,
+        shrink and drop discard it.  A caller may therefore hold the
+        list across allocations in the same file, and a lookup is one
+        dict get; scans and probes allocate zero ``PageId`` tuples.
         """
-        pages = self._files.get(file_id)
-        if pages is None:
-            self._require_file(file_id)
         ids = self._page_id_cache.get(file_id)
-        if ids is None or len(ids) != len(pages):
-            ids = [PageId(file_id, i) for i in range(len(pages))]
+        if ids is None:
+            self._require_file(file_id)
+            ids = [PageId(file_id, i) for i in range(len(self._files[file_id]))]
             self._page_id_cache[file_id] = ids
         return ids
 
@@ -155,8 +156,12 @@ class DiskManager:
         """
         self._require_file(file_id)
         pages = self._files[file_id]
-        page = Page(PageId(file_id, len(pages)), self.page_size)
+        page_id = PageId(file_id, len(pages))
+        page = Page(page_id, self.page_size)
         pages.append(page)
+        ids = self._page_id_cache.get(file_id)
+        if ids is not None:
+            ids.append(page_id)
         return page
 
     def read_page(self, page_id: PageId) -> Page:

@@ -43,14 +43,10 @@ class IsamIndex:
         # Memoized per-page key columns, version-guarded like the B-tree's
         # (pure computation — the page is still fetched through the pool).
         self._key_cache: Dict[int, Tuple[int, List[Any]]] = {}
-        # Cached disk.page_ids() list (single-writer file; dropped on
-        # every page allocation, like the B-tree's).
-        self._ids: Optional[List[PageId]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state["_key_cache"] = {}
-        state["_ids"] = None
         return state
 
     def _entry_keys(self, page: Any) -> List[Any]:
@@ -85,7 +81,6 @@ class IsamIndex:
         for entry in entries:
             if page is None or not page.fits(ISAM_ENTRY_BYTES):
                 page = self.pool.new_page(self.file_id)
-                self._ids = None
                 self._primary_nos.append(page.page_id.page_no)
                 self._directory.append(entry[0])
             page.insert(entry, ISAM_ENTRY_BYTES)
@@ -127,9 +122,7 @@ class IsamIndex:
         page_no: Optional[int] = self._primary_nos[idx]
         pool = self.pool
         fetch = pool.fetch
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = pool.disk.page_ids(self.file_id)
+        ids = pool.disk.page_ids(self.file_id)
         overflow_next = self._overflow_next
         while page_no is not None:
             page = fetch(ids[page_no])
@@ -164,7 +157,6 @@ class IsamIndex:
                 self._num_entries += 1
                 return
         overflow = self.pool.new_page(self.file_id)
-        self._ids = None
         overflow.insert((key, payload), ISAM_ENTRY_BYTES)
         self._overflow_next[last] = overflow.page_id.page_no
         self._num_entries += 1
