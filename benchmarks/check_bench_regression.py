@@ -55,9 +55,6 @@ def check_micro(current: dict, baseline: dict, tolerance: float) -> int:
     for name, result in sorted(current.get("benchmarks", {}).items()):
         p95 = result.get("p95_ns_per_op")
         base_p95 = base_benches.get(name, {}).get("p95_ns_per_op")
-        if p95 is None or result.get("skipped"):
-            print("%-18s %12s %12s %8s" % (name, "-", "-", "skipped"))
-            continue
         if not base_p95:
             print("%-18s %12s %9.0f ns %8s" % (name, "-", p95, "new"))
             continue

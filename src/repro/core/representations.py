@@ -165,12 +165,3 @@ class ValueMembers:
     def primary(self) -> PrimaryRep:
         return PrimaryRep.VALUE
 
-
-MemberSet = (ProceduralMembers, OidMembers, ValueMembers)
-
-
-def primary_of(members: Any) -> PrimaryRep:
-    """The primary representation of a member-set descriptor."""
-    if isinstance(members, MemberSet):
-        return members.primary
-    raise RepresentationError("not a member-set descriptor: %r" % (members,))

@@ -2,7 +2,7 @@
 
 The sweep-level telemetry (``BENCH_sweeps.json``, written by ``repro
 report --bench-out``) measures whole experiments; this module measures
-the four paths those experiments spend their time in, in isolation:
+the paths those experiments spend their time in, in isolation:
 
 * ``codec_roundtrip`` — slotted-page byte encode + decode of a full page
   of ParentRel-shaped records through the schema's precompiled
@@ -17,7 +17,9 @@ the four paths those experiments spend their time in, in isolation:
   many five-record lists into one temporary, then one large list into a
   sort run (the heap's chunked append path);
 * ``cache_probe``     — unit-cache probes and inserts (DFSCACHE's inner
-  loop) over a hash file that keeps allocating overflow pages.
+  loop) over a hash file that keeps allocating overflow pages;
+* ``arena_attach``    — one clone from a registry-warm snapshot arena,
+  what a pool worker pays per sweep point.
 
 Timing is nanosecond-resolution (:func:`time.perf_counter_ns`) with
 ``--warmup`` unmeasured leading passes: every benchmark reports
@@ -140,8 +142,6 @@ def bench_codec_roundtrip(
 ) -> Dict[str, Any]:
     """Encode + decode ``pages`` page images of ParentRel-shaped records."""
     codec = PARENT_LIKE_SCHEMA.codec
-    if codec is None:  # REPRO_TUPLE_PAGES debug fallback
-        return {"skipped": "schema has no codec (REPRO_TUPLE_PAGES set)"}
     rng = random.Random(7)
     page_records = [
         [_parent_record(page * 16 + i, rng) for i in range(10)]
@@ -362,16 +362,6 @@ def bench_cache_probe(
     return result
 
 
-def _bench_snapshot(scale: float = 0.05):
-    """A frozen workload database for the attach benchmarks."""
-    from repro.storage.snapshot import Snapshot
-    from repro.workload.generator import build_database
-    from repro.workload.params import WorkloadParams
-
-    params = WorkloadParams().scaled(scale)
-    return Snapshot.freeze(build_database(params, cache=True))
-
-
 def bench_arena_attach(
     repeat: int, warmup: int = 1, scale: float = 0.05
 ) -> Dict[str, Any]:
@@ -385,8 +375,12 @@ def bench_arena_attach(
     import tempfile
 
     from repro.storage import arena as _arena
+    from repro.storage.snapshot import Snapshot
+    from repro.workload.generator import build_database
+    from repro.workload.params import WorkloadParams
 
-    snapshot = _bench_snapshot(scale)
+    params = WorkloadParams().scaled(scale)
+    snapshot = Snapshot.freeze(build_database(params, cache=True))
     blob = _arena.build_arena(snapshot._db)
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "bench.arena")
@@ -408,34 +402,6 @@ def bench_arena_attach(
     return result
 
 
-def bench_pickle_attach(
-    repeat: int, warmup: int = 1, scale: float = 0.05
-) -> Dict[str, Any]:
-    """Clone materialization from the legacy pickle snapshot format.
-
-    One op is the pickle path's per-point cost on a store hit: unpickle
-    the whole-database blob (page payloads included), then deep-copy
-    attach.  The direct comparison point for ``arena_attach``.
-    """
-    from repro.storage.snapshot import Snapshot
-
-    snapshot = _bench_snapshot(scale)
-    blob = snapshot.to_bytes()
-
-    def attach_one():
-        return Snapshot.from_bytes(blob).attach()
-
-    times, clone = _time_ns(attach_one, repeat, warmup)
-    if clone is None or clone.disk is None:
-        raise AssertionError("pickle attach produced no database")
-    result = {
-        "pickle_bytes": len(blob),
-        "seconds": round(min(times) / 1e9, 6),
-    }
-    result.update(_op_fields(times, 1))
-    return result
-
-
 BENCHMARKS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "codec_roundtrip": bench_codec_roundtrip,
     "heap_scan": bench_heap_scan,
@@ -444,7 +410,6 @@ BENCHMARKS: Dict[str, Callable[..., Dict[str, Any]]] = {
     "temp_spool": bench_temp_spool,
     "cache_probe": bench_cache_probe,
     "arena_attach": bench_arena_attach,
-    "pickle_attach": bench_pickle_attach,
 }
 
 
@@ -500,7 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "%s=%s" % (key, value)
             for key, value in sorted(result.items())
             if key.endswith("_per_second") or key.endswith("ns_per_op")
-            or key == "seconds" or key == "skipped"
+            or key == "seconds"
         )
         print("%-16s %s" % (name, parts))
     if args.out:

@@ -72,7 +72,6 @@ import json
 import os
 import signal
 import sys
-import tempfile
 import threading
 import time
 from collections import deque
@@ -93,6 +92,7 @@ from repro.experiments.runner import DatabaseCache, adaptive_queries
 from repro.fault import plan as _fault
 from repro.obs import spans as _spans
 from repro.storage.snapshot import SnapshotStore
+from repro.util import atomic as _atomic
 from repro.util import deadline as _deadline
 from repro.util.fingerprint import code_fingerprint  # noqa: F401  (re-export)
 from repro.workload.driver import CostReport, run_sequence
@@ -373,19 +373,10 @@ class PointCache:
         except (ValueError, UnicodeDecodeError, CacheCorrupt):
             # Torn write, partial entry or bit rot: quarantine and treat
             # as a miss — the point recomputes deterministically.
-            self._quarantine(path)
+            self.corrupt += 1
+            _atomic.quarantine(path)
             return None
         return entry
-
-    def _quarantine(self, path: str) -> None:
-        self.corrupt += 1
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
 
     @staticmethod
     def _checksum(key: Any, result: Any) -> str:
@@ -431,19 +422,7 @@ class PointCache:
             {"key": key, "result": result, "check": self._checksum(key, result)},
             sort_keys=True,
         )
-        fd, tmp_path = tempfile.mkstemp(dir=self.dir, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, os.path.join(self.dir, key + ".json"))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        _atomic.write_atomic(os.path.join(self.dir, key + ".json"), payload)
 
     def stats_snapshot(self) -> Dict[str, int]:
         return {
@@ -1247,13 +1226,3 @@ def _run_parallel(
         shutdown_hard(executor)
     counters["worker_injections"] = worker_injections
     return db_stats
-
-
-def run_sweep_reports(
-    points: Sequence[SweepPoint],
-    jobs: int = 1,
-    cache: Optional[PointCache] = None,
-    policy: Optional[RetryPolicy] = None,
-) -> List[CostReport]:
-    """:func:`run_sweep` for all-workload grids, typed as cost reports."""
-    return run_sweep(points, jobs=jobs, cache=cache, policy=policy)

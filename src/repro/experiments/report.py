@@ -375,17 +375,19 @@ def main(argv=None) -> int:
         db_totals = _round_floats(_sum_nested(telemetry, "db"))
         store = pool._db_store()
         # Schema 4: the per-experiment and total ``db`` counter dicts
-        # gained the attach-path split (``arena_attaches`` /
-        # ``pickle_attaches``) and ``page_payload_pickle_bytes`` — the
-        # page payload bytes that went through pickle, which the CI
+        # gained ``arena_attaches`` and ``page_payload_pickle_bytes`` —
+        # the page payload bytes that went through pickle, which the CI
         # asserts is zero on the arena attach path.  ``jobs`` is always
         # the *resolved* worker count (``--jobs auto`` resolves before
         # it gets here).
         # Schema 5: records ``ledger_schema`` — the run ledger gained
         # the ``kind="serve"`` record family (ledger schema 2), and the
         # bench artifact is where that coupling is pinned for CI.
+        # Schema 6: the legacy-pickle attach counter is gone with that
+        # snapshot format; ``arena_attaches == attaches`` is the
+        # all-arena contract.
         bench = {
-            "schema": 5,
+            "schema": 6,
             "ledger_schema": _ledger.LEDGER_SCHEMA,
             "scale": args.scale,
             "jobs": args.jobs,

@@ -177,13 +177,12 @@ class DatabaseCache:
         self.snapshot_mode = store is not None
         self.builds = 0
         self.attaches = 0
-        #: Attach-path split: clones materialized from an mmap arena vs
-        #: everything else (legacy pickle snapshots and in-process
-        #: deep-copy templates).  ``arena_attaches`` going up while
-        #: ``page_payload_pickle_bytes`` stays flat is the zero-copy
-        #: contract the CI asserts.
+        #: Clones materialized from an mmap arena; the rest of
+        #: ``attaches`` are in-process deep-copy templates (a degraded
+        #: store or a reload that failed).  ``arena_attaches ==
+        #: attaches`` with ``page_payload_pickle_bytes`` flat is the
+        #: zero-copy contract the CI asserts.
         self.arena_attaches = 0
-        self.pickle_attaches = 0
         self.build_seconds = 0.0
         self.attach_seconds = 0.0
         self.downgrades = 0
@@ -288,8 +287,6 @@ class DatabaseCache:
         self.attaches += 1
         if getattr(snapshot, "is_arena", False):
             self.arena_attaches += 1
-        else:
-            self.pickle_attaches += 1
         self.attach_seconds += time.perf_counter() - t0
         return clone
 
@@ -321,8 +318,8 @@ class DatabaseCache:
                     self._degrade(exc)
                 else:
                     # Prefer the handle the store now serves (the arena
-                    # just written, for arena-format stores): cold and
-                    # warm points then attach through one code path.
+                    # just written): cold and warm points then attach
+                    # through one code path.
                     try:
                         revived = self.store.get(store_key)
                     except (OSError, FaultInjected) as exc:
@@ -369,7 +366,6 @@ class DatabaseCache:
             "builds": self.builds,
             "attaches": self.attaches,
             "arena_attaches": self.arena_attaches,
-            "pickle_attaches": self.pickle_attaches,
             "build_seconds": self.build_seconds,
             "attach_seconds": self.attach_seconds,
             "downgrades": self.downgrades,

@@ -5,10 +5,11 @@ page accesses go*; this module answers *where does the wall clock go*.
 A :class:`SpanProfiler` aggregates nested, named spans measured with
 :func:`time.perf_counter_ns`:
 
-* a span is opened with the :func:`span` context manager (or the
-  :func:`profiled` decorator) and identified by its **path** — the
-  ``;``-joined chain of enclosing span names (``sweep.point;db.attach``)
-  — so nesting is first-class and the aggregate is a call tree;
+* a span is opened with the :func:`span` context manager (a block runs
+  under a fresh profiler with :func:`profiled`) and identified by its
+  **path** — the ``;``-joined chain of enclosing span names
+  (``sweep.point;db.attach``) — so nesting is first-class and the
+  aggregate is a call tree;
 * per path the profiler keeps count, total/min/max nanoseconds and a
   deterministic, bounded sample reservoir from which p50/p95/p99 are
   computed (:func:`repro.util.stats.percentile`);
@@ -29,9 +30,8 @@ global read, an ``is None`` test and two trivial method calls.
 
 from __future__ import annotations
 
-import functools
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.util.stats import percentile
 
@@ -322,19 +322,3 @@ def profiled(prof: Optional[SpanProfiler] = None) -> _ProfiledContext:
     """``with profiled() as prof:`` — profiling on for the block only."""
     return _ProfiledContext(prof)
 
-
-def traced_span(name: str) -> Callable:
-    """Decorator: run the function body inside ``span(name)``."""
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            prof = _PROFILER
-            if prof is None:
-                return fn(*args, **kwargs)
-            with prof.span(name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

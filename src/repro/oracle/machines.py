@@ -17,18 +17,19 @@ a rule may arm a seeded :class:`~repro.fault.plan.FaultPlan` over the
 disk sites, after which any operation may die mid-flight with
 :class:`~repro.errors.FaultInjected` — potentially leaving a torn
 engine (a B-tree split is not atomic).  The machine then models what
-the sweep layer does in production (PR 4's history-independent retry):
+the sweep layer does in production (its history-independent retry):
 declare the working clone crashed, re-attach a fresh clone from the
 last durable snapshot, and verify the recovered store equals the
 durable reference model exactly.  Commits freeze the working clone into
-a new durable snapshot through the checksummed
-:class:`~repro.storage.snapshot.SnapshotStore`, and a reload rule
-corrupts the stored bytes (``snapshot.load``) to drive the
-quarantine-and-rebuild path.
+a new durable arena through the
+:class:`~repro.storage.snapshot.SnapshotStore`, and two rules damage the
+stored arena — a ``snapshot.load`` corruption, and a truncation or
+byte flip on disk — to drive the quarantine-and-rebuild path.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 from typing import Any, List, Optional, Tuple
@@ -52,10 +53,12 @@ from repro.fault import plan as _fault
 from repro.fault.plan import FaultPlan, FaultSpec
 from repro.oracle.invariants import check_all
 from repro.oracle.reference import HeapModel, KeyedModel, SqliteMirror
+from repro.storage import arena as _arena
 from repro.storage.catalog import Catalog
 from repro.storage.page import PageId
 from repro.storage.record import IntField, Schema
 from repro.storage.snapshot import Snapshot, SnapshotStore
+from repro.util import atomic as _atomic
 
 #: Small domains: collisions and re-deletes must be common.
 KEYS = st.integers(min_value=0, max_value=199)
@@ -496,32 +499,42 @@ class SnapshotMachine(RuleBasedStateMachine):
 #: The disk-level fault sites a crash-consistency run may arm.
 DISK_SITES = ("disk.read", "disk.torn", "disk.write")
 
+#: The crash machine's one store key, re-put on every commit.
+STORE_KEY = "db"
+
+#: Arena regions an on-disk flip may target: the ones a load verifies.
+ARENA_REGIONS = ("header", "index", "shared", "meta")
+
 
 class CrashConsistencyMachine(RuleBasedStateMachine):
     """Fault-interleaved rules with recovery checked against the model.
 
-    State is two-tier, mirroring the sweep layer: a *durable* frozen
-    snapshot (also persisted through a checksummed
-    :class:`SnapshotStore`) plus its reference model, and a *working*
-    clone with a working model.  Operations run against the working
-    clone; while a fault plan is armed any of them may raise
-    :class:`FaultInjected` mid-mutation.  That is treated as a crash:
-    the torn clone is discarded, a fresh clone is attached from the
-    durable snapshot, and the recovered store must equal the durable
-    model exactly.  ``commit`` quiesces faults and promotes the working
-    state to a new durable snapshot; ``reload_durable_from_store``
-    round-trips the durable snapshot through disk, optionally under a
-    ``snapshot.load`` corruption, asserting corrupt bytes are always
-    quarantined (never served) and clean bytes reproduce the model.
+    State is two-tier, mirroring the sweep layer: a *durable* snapshot
+    persisted through the arena :class:`SnapshotStore` plus its reference
+    model, and a *working* clone with a working model.  The durable
+    snapshot is the :class:`~repro.storage.arena.ArenaSnapshot` the store
+    serves after ``put`` — the handle ``DatabaseCache`` attaches from —
+    so recovery runs on the production on-disk format.  Operations run
+    against the working clone; while a fault plan is armed any of them
+    may raise :class:`FaultInjected` mid-mutation.  That is treated as a
+    crash: the torn clone is discarded, a fresh clone is attached from
+    the durable snapshot, and the recovered store must equal the durable
+    model exactly.  ``commit`` quiesces faults and re-puts the working
+    state under the same key.  ``reload_durable_from_store`` cold-reads
+    the arena, optionally under a ``snapshot.load`` corruption, and
+    ``damage_arena_on_disk`` truncates the file or flips a byte in one
+    of its checksummed regions: damaged bytes must always be quarantined
+    (never served) and clean bytes must reproduce the model.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.tmpdir = tempfile.mkdtemp(prefix="repro-oracle-")
-        self.store = SnapshotStore(
-            self.tmpdir, fingerprint="oracle", format="pickle"
-        )
-        self.durable: Optional[Snapshot] = None
+        self.store = SnapshotStore(self.tmpdir, fingerprint="oracle")
+        self.path = self.store._arena_path(STORE_KEY)
+        #: The frozen template last put, kept for deterministic rebuilds.
+        self.template: Optional[Snapshot] = None
+        self.durable: Optional[Any] = None
         self.durable_tree = KeyedModel()
         self.durable_hash = KeyedModel()
         self.working: Optional[Any] = None
@@ -535,6 +548,19 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         _fault.clear()
         shutil.rmtree(self.tmpdir, ignore_errors=True)
 
+    def _persist(self, template: Snapshot) -> None:
+        """Put ``template``; the arena handle the store then serves is durable."""
+        self.template = template
+        self.store.put(STORE_KEY, template)
+        self.durable = self.store.get(STORE_KEY)
+        assert getattr(self.durable, "is_arena", False), self.durable
+
+    def _attach_working(self) -> None:
+        """A fresh working clone (and models) from the durable snapshot."""
+        self.working = self.durable.attach()
+        self.work_tree = self.durable_tree.copy()
+        self.work_hash = self.durable_hash.copy()
+
     @initialize(keys=st.sets(KEYS, max_size=25))
     def seed(self, keys) -> None:
         base = _OracleStore()
@@ -543,11 +569,8 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
             self.durable_tree.insert(key, (key, value))
             base.hash.insert((key, value))
             self.durable_hash.insert(key, (key, value))
-        self.durable = Snapshot.freeze(base)
-        self.store.put("db", self.durable)
-        self.working = self.durable.attach()
-        self.work_tree = self.durable_tree.copy()
-        self.work_hash = self.durable_hash.copy()
+        self._persist(Snapshot.freeze(base))
+        self._attach_working()
 
     # ------------------------------------------------------------------
     # fault plumbing
@@ -577,9 +600,7 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
         _fault.clear()
         self.armed = False
         self.crashes += 1
-        self.working = self.durable.attach()
-        self.work_tree = self.durable_tree.copy()
-        self.work_hash = self.durable_hash.copy()
+        self._attach_working()
         # Recovery contract: the re-attached store IS the durable state.
         assert list(self.working.tree.scan()) == self.durable_tree.records()
         assert sorted(self.working.hash.scan()) == sorted(
@@ -653,48 +674,84 @@ class CrashConsistencyMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     @rule()
     def commit(self) -> None:
-        """Quiesce faults and promote the working state to durable."""
+        """Quiesce faults and re-put the working state as durable."""
         _fault.clear()
         self.armed = False
-        self.durable = Snapshot.freeze(self.working)
         self.durable_tree = self.work_tree.copy()
         self.durable_hash = self.work_hash.copy()
-        self.store.put("db", self.durable)
-        self.working = self.durable.attach()
-        self.work_tree = self.durable_tree.copy()
-        self.work_hash = self.durable_hash.copy()
+        self._persist(Snapshot.freeze(self.working))
+        self._attach_working()
         self.commits += 1
+
+    def _cold_get(self) -> Tuple[SnapshotStore, Optional[Any]]:
+        """Read the key as a fresh process would: no registry, no memory."""
+        _arena.registry().discard(self.path)
+        reader = SnapshotStore(self.tmpdir, fingerprint="oracle")
+        return reader, reader.get(STORE_KEY)
+
+    def _assert_quarantined(self, reader: SnapshotStore, loaded: Any) -> None:
+        """Damaged bytes were refused; rebuild as the sweep layer would."""
+        assert loaded is None, "damaged snapshot bytes were served"
+        assert reader.stats["corrupt"] == 1
+        assert os.path.exists(self.path + ".corrupt")
+        assert not os.path.exists(self.path)
+        self._persist(self.template)  # deterministic rebuild
 
     @precondition(lambda self: not self.armed)
     @rule(corrupt=st.booleans())
     def reload_durable_from_store(self, corrupt: bool) -> None:
-        """Cold-read the durable snapshot, optionally under corruption.
+        """Cold-read the durable arena, optionally under corruption.
 
-        A fresh store instance forces the on-disk path (the writer's
-        memory tier would otherwise answer).  Corrupt bytes must be
-        detected, quarantined and reported as a miss — never served —
-        after which the deterministic rebuild (re-``put`` of the live
-        durable snapshot) must restore the cache.  A clean read must
-        reproduce the durable model bit for bit.
+        Corrupt bytes (a ``snapshot.load`` fault) must be detected,
+        quarantined and reported as a miss — never served.  A clean read
+        must reproduce the durable model bit for bit.
         """
-        reader = SnapshotStore(self.tmpdir, fingerprint="oracle", format="pickle")
         if corrupt:
             _fault.install(
                 FaultPlan([FaultSpec("snapshot.load", rate=1.0, count=1)], seed=1)
             )
         try:
-            loaded = reader.get("db")
+            reader, loaded = self._cold_get()
         finally:
             _fault.clear()
         if corrupt:
-            assert loaded is None, "corrupted snapshot bytes were served"
-            assert reader.stats["corrupt"] == 1
-            self.store.put("db", self.durable)  # deterministic rebuild
+            self._assert_quarantined(reader, loaded)
             return
         assert loaded is not None, "clean stored snapshot failed to load"
         revived = loaded.attach()
         assert list(revived.tree.scan()) == self.durable_tree.records()
         assert sorted(revived.hash.scan()) == sorted(self.durable_hash.records())
+
+    @precondition(lambda self: not self.armed)
+    @rule(data=st.data())
+    def damage_arena_on_disk(self, data) -> None:
+        """Truncate the stored arena or flip one checksummed byte.
+
+        Flips land in the header, index, shared or metadata region only:
+        page images are deliberately not checksummed (see
+        :mod:`repro.storage.arena`).  The damaged bytes replace the file
+        as a new inode, because truncating the inode this process still
+        maps would fault its live page stubs rather than model a torn
+        file.
+        """
+        with open(self.path, "rb") as handle:
+            blob = handle.read()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="size")]
+        else:
+            region = data.draw(st.sampled_from(ARENA_REGIONS), label="region")
+            start, end = _arena.region_bounds(blob)[region]
+            offset = data.draw(st.integers(start, end - 1), label="offset")
+            # The header is unchecksummed JSON: a 0xFF flip makes it
+            # non-ASCII, where some low-bit flips turn a blank into an
+            # equivalent blank.  The other regions are SHA-256 covered.
+            mask = 0xFF if region == "header" else data.draw(
+                st.integers(1, 255), label="mask"
+            )
+            damaged = bytearray(blob)
+            damaged[offset] ^= mask
+        _atomic.write_atomic(self.path, bytes(damaged))
+        self._assert_quarantined(*self._cold_get())
 
     # ------------------------------------------------------------------
     # per-step verification (only when quiescent: scans may fault)

@@ -1,11 +1,12 @@
-"""Flat mmap-backed snapshot arenas.
+"""Flat mmap-backed snapshot arenas: the one on-disk snapshot format.
 
-The pickle-based :class:`~repro.storage.snapshot.SnapshotStore` makes a
-worker pay twice for every database shape it touches: once to unpickle
-the whole snapshot — page payloads included — and once per point to
-deep-copy the metadata.  At paper scale the payload bytes dominate, and
-they are pure waste: frozen pages are immutable, so every worker on the
-machine could share one copy.
+A frozen database must reach every sweep worker (and every repeated
+report run) without a rebuild.  Shipping it as one pickle would make each
+worker pay twice per database shape: once to unpickle the whole
+snapshot — page payloads included — and once per point to deep-copy the
+metadata.  At paper scale the payload bytes dominate, and they are pure
+waste: frozen pages are immutable, so every worker on the machine can
+share one copy.
 
 An **arena** is that one copy.  ``build_arena`` lays a frozen database
 out as a single contiguous file::
@@ -57,7 +58,7 @@ import os
 import pickle
 import struct
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CacheCorrupt
 from repro.fault import plan as _fault
@@ -287,34 +288,54 @@ def _load_state(path: str) -> ArenaState:
         raise
 
 
+def region_bounds(buf: Any) -> Dict[str, Tuple[int, int]]:
+    """``[start, end)`` of each region of the arena bytes ``buf``.
+
+    Regions are ``header`` (the JSON), ``index``, ``images``, ``shared``
+    and ``meta``, as the header declares them; raises
+    :class:`~repro.errors.CacheCorrupt` if the magic or header is
+    missing or unparsable.  Nothing is checked against the file size.
+    """
+    base = len(MAGIC) + _U32.size
+    if len(buf) < base or bytes(buf[: len(MAGIC)]) != MAGIC:
+        raise CacheCorrupt("missing or truncated arena magic")
+    (header_len,) = _U32.unpack_from(buf, len(MAGIC))
+    index = base + header_len
+    if len(buf) < index:
+        raise CacheCorrupt("truncated arena header")
+    try:
+        header = json.loads(bytes(buf[base:index]).decode("ascii"))
+        images = index + int(header["index_len"])
+        shared = images + int(header["images_len"])
+        meta = shared + int(header["shared_len"])
+        end = meta + int(header["meta_len"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CacheCorrupt("unparsable arena header: %s" % (exc,))
+    return {
+        "header": (base, index),
+        "index": (index, images),
+        "images": (images, shared),
+        "shared": (shared, meta),
+        "meta": (meta, end),
+    }
+
+
 def _parse(path: str, mm: mmap.mmap) -> ArenaState:
     size = len(mm)
-    base = len(MAGIC) + _U32.size
-    if size < base or bytes(mm[: len(MAGIC)]) != MAGIC:
-        raise CacheCorrupt("missing or truncated arena magic")
-    (header_len,) = _U32.unpack_from(mm, len(MAGIC))
-    if size < base + header_len:
-        raise CacheCorrupt("truncated arena header")
     # Locate the region boundaries, then route every *verified* byte —
     # everything except the raw page images — through the snapshot.load
     # fault site as one blob and re-validate from the result, so an
     # injected (or real) flip in any structural region is always caught.
-    try:
-        bounds = json.loads(bytes(mm[base:base + header_len]).decode("ascii"))
-        index_off = base + header_len
-        images_off = index_off + int(bounds["index_len"])
-        shared_off = images_off + int(bounds["images_len"])
-        meta_off = shared_off + int(bounds["shared_len"])
-        meta_end = meta_off + int(bounds["meta_len"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CacheCorrupt("unparsable arena header: %s" % (exc,))
-    if size != meta_end or not (base <= index_off <= images_off <= shared_off):
+    bounds = region_bounds(mm)
+    base, index_off = bounds["header"]
+    images_off, shared_off = bounds["images"]
+    if size != bounds["meta"][1] or not index_off <= images_off <= shared_off:
         raise CacheCorrupt("arena size %d does not match header" % size)
     blob = _fault.corrupt_bytes(
         "snapshot.load", bytes(mm[:images_off]) + bytes(mm[shared_off:])
     )
     try:
-        header = json.loads(blob[base:base + header_len].decode("ascii"))
+        header = json.loads(blob[base:index_off].decode("ascii"))
         pages = int(header["pages"])
         index_len = int(header["index_len"])
         shared_len = int(header["shared_len"])
@@ -323,9 +344,9 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
         raise CacheCorrupt("unparsable arena header: %s" % (exc,))
     if not blob.startswith(MAGIC):
         raise CacheCorrupt("corrupt arena magic")
-    index_end = base + header_len + index_len
+    index_end = index_off + index_len
     shared_end = index_end + shared_len
-    index_blob = blob[base + header_len:index_end]
+    index_blob = blob[index_off:index_end]
     shared_blob = blob[index_end:shared_end]
     meta_blob = blob[shared_end:]
     if (
@@ -381,10 +402,11 @@ def _parse(path: str, mm: mmap.mmap) -> ArenaState:
 class ArenaRegistry:
     """Per-process cache of loaded arenas, keyed by file path.
 
-    Deterministic rebuilds write byte-identical arenas, so a cached
-    state stays valid even if the file is atomically replaced behind it
-    (the old mapping pins the old inode).  A failed load caches nothing
-    — after quarantine + rebuild the next load reads the fresh file.
+    A cached state maps the inode it loaded, so it outlives an atomic
+    replace of the file; a writer that replaces a path with different
+    bytes must :meth:`discard` it (``SnapshotStore.put`` does), or later
+    loads keep serving the old content.  A failed load caches nothing —
+    after quarantine + rebuild the next load reads the fresh file.
 
     Thread-safe: the serving layer's reader threads attach concurrently,
     so :meth:`load` holds the registry lock across the check *and* the
@@ -464,8 +486,8 @@ class ArenaSnapshot:
 
     __slots__ = ("_state",)
 
-    #: Lets the database cache count arena vs legacy attaches without
-    #: importing this module.
+    #: Lets the database cache count arena attaches without importing
+    #: this module.
     is_arena = True
 
     def __init__(self, state: ArenaState) -> None:

@@ -424,11 +424,19 @@ class BTreeFile:
         return path
 
     def _descend_leaf(self, key: Any, ids: List[PageId]) -> int:
-        """The leaf page number for ``key``: one fetch per internal level."""
+        """The leaf page number for ``key``: one fetch per internal level.
+
+        A unique tree routes to the last child whose separator is at or
+        below ``key`` — the only leaf that can hold it.  A non-unique
+        tree may have split a run of ``key`` so that a separator equals
+        ``key`` with copies still left of it, so it routes to the last
+        child whose separator is strictly below ``key`` and the caller
+        walks right from there.
+        """
         meta = self._meta
         fetch = self.pool.fetch
         sep_cache = self._sep_cache
-        bisect_right = bisect.bisect_right
+        route = bisect.bisect_right if self.unique else bisect.bisect_left
         node = self._root
         while not meta[node].is_leaf:
             page = fetch(ids[node])
@@ -437,7 +445,7 @@ class BTreeFile:
                 seps = cached[1]
             else:
                 seps = self._separators(page)
-            idx = bisect_right(seps, key) - 1
+            idx = route(seps, key) - 1
             if idx < 0:
                 idx = 0
             records = page.records
@@ -690,10 +698,18 @@ class BTreeFile:
             right_page.insert(r, self.schema.record_size(r))
         self.pool.mark_dirty(page.page_id)
         sep = self._key(right[0])
-        self._insert_separator(path[:-1], sep, right_no)
+        self._insert_separator(path, sep, right_no)
 
     def _insert_separator(self, path: List[int], sep: Any, child_no: int) -> None:
-        if not path:  # splitting the root: grow a level
+        """Link the new right sibling ``child_no`` of the split ``path[-1]``.
+
+        Its entry goes directly after the split node's entry in the
+        parent ``path[-2]``.  In a unique tree that is exactly where
+        ``sep`` bisects; a non-unique tree may hold separators equal to
+        ``sep``, and bisecting past them would put the child out of leaf
+        chain order.
+        """
+        if len(path) == 1:  # splitting the root: grow a level
             new_root = self.pool.new_page(self.file_id)
             no = new_root.page_id.page_no
             self._meta[no] = _NodeMeta(is_leaf=False)
@@ -705,10 +721,10 @@ class BTreeFile:
             self._root = no
             self.height += 1
             return
-        node_no = path[-1]
+        node_no = path[-2]
         page = self._fetch_writable(node_no)
-        seps = self._separators(page)
-        slot = bisect.bisect_right(seps, sep)
+        children = [entry[1] for entry in page.record_batch()]
+        slot = children.index(path[-1]) + 1
         if page.fits(INDEX_ENTRY_BYTES):
             page.insert_at(slot, (sep, child_no), INDEX_ENTRY_BYTES)
             self.pool.mark_dirty(page.page_id)
@@ -742,6 +758,28 @@ class BTreeFile:
         page = self._fetch(node_no)
         return self._key(page.get(0)) if len(page) else None
 
+    def _writable_slot(self, key: Any) -> Tuple[Page, int]:
+        """The leaf (fetched for writing) and slot of the first ``key``.
+
+        A non-unique tree's descent may land on a leaf whose keys all
+        sit below ``key`` (see :meth:`_descend_leaf`), so it walks right
+        past exhausted leaves; a unique tree's leaf is final.  Raises
+        :class:`KeyNotFoundError` when ``key`` is absent.
+        """
+        page_no, slot = self._find_leaf_slot(key)
+        if page_no is None:
+            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+        page = self._fetch_writable(page_no)
+        keys = self._leaf_keys(page)
+        next_leaf = self._meta[page_no].next_leaf
+        while not self.unique and slot >= len(keys) and next_leaf is not None:
+            page = self._fetch_writable(next_leaf)
+            keys = self._leaf_keys(page)
+            slot, next_leaf = 0, self._meta[next_leaf].next_leaf
+        if slot >= len(keys) or keys[slot] != key:
+            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+        return page, slot
+
     def update(self, key: Any, new_record: Tuple[Any, ...]) -> None:
         """Replace the record with ``key`` in place.
 
@@ -752,13 +790,8 @@ class BTreeFile:
         self.schema.validate(new_record)
         if self._key(new_record) != key:
             raise StorageError("update must preserve the key")
-        page_no, slot = self._find_leaf_slot(key)
-        if page_no is None:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        page = self._fetch_writable(page_no)
-        keys = self._leaf_keys(page)
-        if slot >= len(keys) or keys[slot] != key:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+        page, slot = self._writable_slot(key)
+        page_no = page.page_id.page_no
         old_version = page.version
         page.replace(slot, new_record, self.schema.record_size(new_record))
         # Key-preserving replace: re-stamp the memoized key column.
@@ -819,13 +852,7 @@ class BTreeFile:
         structure remains correct (empty leaves are skipped by scans and
         cursors).  Reinsertion reuses the free space.
         """
-        page_no, slot = self._find_leaf_slot(key)
-        if page_no is None:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
-        page = self._fetch_writable(page_no)
-        keys = self._leaf_keys(page)
-        if slot >= len(keys) or keys[slot] != key:
-            raise KeyNotFoundError("key %r not in btree %r" % (key, self.name))
+        page, slot = self._writable_slot(key)
         record = page.delete(slot)
         self.pool.mark_dirty(page.page_id)
         self._num_records -= 1

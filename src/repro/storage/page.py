@@ -19,10 +19,8 @@ Records live in two forms:
   and decode **lazily**: a page revived from a snapshot stays byte-only
   until something actually reads it.
 
-Setting ``REPRO_TUPLE_PAGES=1`` disables the byte form entirely (see
-:data:`repro.storage.record.TUPLE_PAGES_ONLY`) — the debug fallback that
-keeps every page in decoded-tuple form, exactly like the pre-rewrite
-engine.
+Pages without a codec — blob-cache pages and hash/ISAM index pages —
+keep the decoded form only; that is the one other page path.
 
 ``DEFAULT_PAGE_SIZE`` is 2048 bytes, the INGRES 5.0 data-page size used in
 the paper's experiments; ``PAGE_HEADER_BYTES`` models the page header and

@@ -22,20 +22,12 @@ from __future__ import annotations
 
 import copy
 import operator
-import os
 import struct
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RecordError
 from repro.obs import spans as _spans
-
-#: Debug fallback: set ``REPRO_TUPLE_PAGES=1`` to disable the slotted
-#: byte codecs entirely.  Every page then keeps its records as decoded
-#: tuples only (the pre-rewrite representation) — byte layout, snapshot
-#: compaction and codec round-trips are all bypassed.  Measured numbers
-#: are identical either way; this exists to bisect codec bugs.
-TUPLE_PAGES_ONLY = bool(os.environ.get("REPRO_TUPLE_PAGES"))
 
 #: Bytes one OID occupies inside a character-encoded OID list (relation
 #: identifier + primary key + separator, cf. Section 2.2 of the paper).
@@ -381,11 +373,8 @@ class Schema:
         #: True when every field is an IntField (temporaries of OIDs):
         #: :meth:`validate_many` then checks a batch without per-field calls.
         self._all_int: bool = all(type(f) is IntField for f in self.fields)
-        #: The schema's byte codec (None for blob schemas or under the
-        #: ``REPRO_TUPLE_PAGES`` debug fallback).
-        self.codec: Optional[RecordCodec] = (
-            RecordCodec(self) if self.stateless and not TUPLE_PAGES_ONLY else None
-        )
+        #: The schema's byte codec (None for blob schemas).
+        self.codec: Optional[RecordCodec] = RecordCodec(self) if self.stateless else None
 
     # ------------------------------------------------------------------
     def field_index(self, name: str) -> int:
@@ -520,7 +509,7 @@ class Schema:
             isinstance(f, (IntField, CharField, OidListField)) for f in self.fields
         )
         self._all_int = all(type(f) is IntField for f in self.fields)
-        if self.stateless and not TUPLE_PAGES_ONLY:
+        if self.stateless:
             self.codec = RecordCodec(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

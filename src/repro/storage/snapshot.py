@@ -1,4 +1,4 @@
-"""Copy-on-write database snapshots.
+"""Copy-on-write database snapshots and their on-disk store.
 
 Building the experimental database is the dominant cost of a cold sweep:
 every (shape, strategy) cell that misses the in-process database cache
@@ -7,30 +7,29 @@ single query is measured.  The build is fully deterministic, so — like
 the OCB benchmark's reusable object bases — a built database is an
 artifact worth keeping.
 
-This module provides the two pieces that make reuse cheap and safe:
-
 * :class:`Snapshot` — a built database frozen into an immutable
   template: dirty frames flushed, counters zeroed, every page sealed
   (:meth:`repro.storage.page.Page.freeze`).  :meth:`Snapshot.attach`
-  returns a fully mutable clone by unpickling a cached pickle of the
-  template — C-speed cloning of the Python-side structures (catalog,
-  B-tree sidecars, buffer pool, caches) and the compact page byte
-  images.  Clone pages stay frozen until first write: the buffer pool's
-  write path copies a page the first time a clone dirties it
+  returns a fully mutable clone by deep-copying the Python-side
+  structures while sharing the frozen pages.  Clone pages stay frozen
+  until first write: the buffer pool's write path copies a page the
+  first time a clone dirties it
   (:meth:`repro.storage.buffer.BufferPool.writable`), so clones never
   observe each other's updates and the template is never modified.
+  This in-process path serves store-less runs, the serving layer's
+  version chain and the snapshot state machine.
 
 * :class:`SnapshotStore` — a persistent, process-shared store of frozen
-  databases (one file per shape under ``results/.dbcache/``), fronted by
-  a small in-memory LRU.  Pool workers and repeated report runs attach
-  in milliseconds instead of rebuilding.  Filenames embed the source
-  fingerprint, so any code change orphans every stored snapshot at once.
-  The primary on-disk format is the flat mmap-backed **arena**
-  (:mod:`repro.storage.arena`, ``*.arena``): loading one maps the file
+  databases, one flat mmap **arena** file per shape under
+  ``results/.dbcache/`` (:mod:`repro.storage.arena`, ``*.arena``),
+  fronted by a small in-memory LRU.  Loading an arena maps the file
   read-only and shares its page images across every attach in the
-  process with zero pickling of page payloads.  The legacy framed-pickle
-  format (``*.pkl``) remains readable (and writable via
-  ``format="pickle"``) for comparison benchmarks and old stores.
+  process with zero pickling of page payloads, so pool workers and
+  repeated report runs attach in milliseconds instead of rebuilding.
+  Filenames embed the source fingerprint, so any code change orphans
+  every stored snapshot at once.  Re-putting a key discards the
+  registry's mapping of the replaced file, so a same-process ``get``
+  always attaches what is on disk.
 
 Copy-on-write never changes measured costs: a real engine modifies the
 already-buffered frame in place, so the private copy is free — page
@@ -40,10 +39,7 @@ sharing exists only because the simulator's "disk" holds live objects.
 from __future__ import annotations
 
 import copy
-import hashlib
 import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
@@ -53,6 +49,7 @@ from repro.fault import plan as _fault
 from repro.obs import spans as _spans
 from repro.storage import arena as _arena
 from repro.storage.arena import ArenaSnapshot
+from repro.util import atomic as _atomic
 
 
 class Snapshot:
@@ -66,10 +63,6 @@ class Snapshot:
 
     def __init__(self, db: Any) -> None:
         self._db = db
-        # Lazily-built pickle of the template: attach() clones by
-        # unpickling (C-speed), and snapshots revived from the store keep
-        # the verified blob so they never re-pickle.
-        self._blob: Optional[bytes] = None
 
     @classmethod
     def freeze(cls, db: Any) -> "Snapshot":
@@ -105,91 +98,46 @@ class Snapshot:
             }
             return copy.deepcopy(self._db, memo)
 
-    def to_bytes(self) -> bytes:
-        blob = self._blob
-        if blob is None:
-            blob = self._blob = pickle.dumps(
-                self._db, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return blob
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Snapshot":
-        snapshot = cls(pickle.loads(blob))
-        snapshot._blob = blob
-        return snapshot
-
 
 class SnapshotStore:
     """Persistent store of database snapshots, shared across processes.
 
     Keys are arbitrary strings (the sweep layer uses a hash of the
-    database shape); each key maps to one pickle file under ``root``.  A
-    bounded in-memory LRU of live :class:`Snapshot` objects fronts the
-    files so repeated attaches in one process skip re-unpickling.
+    database shape); each key maps to one arena file under ``root``.  A
+    bounded in-memory LRU of attachable handles fronts the files so
+    repeated attaches in one process skip the disk.
 
-    Concurrency: writes go to a temporary file renamed into place
-    (atomic on POSIX), and builds are deterministic, so workers racing
-    on one key write identical bytes — last writer wins harmlessly and
-    readers never see a torn file.
+    Concurrency: writes go through :func:`repro.util.atomic.write_atomic`
+    (temp file, fsync, atomic rename), and builds are deterministic, so
+    workers racing on one key write identical bytes — last writer wins
+    harmlessly and readers never see a torn file.
 
-    Crash safety: every stored blob is framed as ``magic + sha256 +
-    pickle`` and verified on load.  A truncated, torn or bit-flipped
-    file fails verification, is *quarantined* (renamed ``*.corrupt``,
-    so the evidence survives for inspection) and counts as a miss — the
-    caller rebuilds deterministically and overwrites it.
+    Crash safety: an arena's structural regions are SHA-256 checksummed
+    and verified on load (:mod:`repro.storage.arena`).  A truncated,
+    torn or bit-flipped file fails verification, is quarantined
+    (renamed ``*.corrupt``) and counts as a miss — the caller rebuilds
+    deterministically and overwrites it.
     """
 
     FILE_PREFIX = "db-"
-
-    #: On-disk formats: the mmap arena (default) and the legacy pickle.
-    FORMATS = ("arena", "pickle")
-    _SUFFIXES = (".arena", ".pkl")
-
-    #: Framing of a stored pickle snapshot: magic, 64 hex chars, payload.
-    MAGIC = b"RSNAP1\n"
-    _DIGEST_LEN = 64
-
-    @classmethod
-    def _frame(cls, payload: bytes) -> bytes:
-        digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        return cls.MAGIC + digest + b"\n" + payload
-
-    @classmethod
-    def _unframe(cls, blob: bytes) -> bytes:
-        """The verified payload of ``blob``; raises :class:`CacheCorrupt`."""
-        header_len = len(cls.MAGIC) + cls._DIGEST_LEN + 1
-        if len(blob) < header_len or not blob.startswith(cls.MAGIC):
-            raise CacheCorrupt("missing or truncated snapshot header")
-        digest = blob[len(cls.MAGIC):header_len - 1]
-        payload = blob[header_len:]
-        if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-            raise CacheCorrupt("snapshot checksum mismatch")
-        return payload
 
     def __init__(
         self,
         root: str,
         max_memory_entries: int = 4,
         fingerprint: Optional[str] = None,
-        format: str = "arena",
     ) -> None:
         if fingerprint is None:
             from repro.util.fingerprint import code_fingerprint
 
             fingerprint = code_fingerprint()
-        if format not in self.FORMATS:
-            raise ValueError(
-                "unknown snapshot format %r (choose from %r)"
-                % (format, self.FORMATS)
-            )
         self.root = root
         self.fingerprint = fingerprint
-        self.format = format
         self.max_memory_entries = max_memory_entries
-        #: Memory tier holds Snapshot or ArenaSnapshot handles alike.
-        #: Guarded by ``_memory_lock`` — the serving layer's threads hit
-        #: the store concurrently and OrderedDict mutation is not atomic.
+        #: Memory tier of ArenaSnapshot (or, if a reload failed, Snapshot)
+        #: handles.  Guarded by ``_memory_lock`` — the serving layer's
+        #: threads hit the store concurrently and OrderedDict mutation is
+        #: not atomic.
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self._memory_lock = threading.Lock()
         self.stats: Dict[str, int] = {
@@ -200,26 +148,19 @@ class SnapshotStore:
             "corrupt": 0,
         }
 
-    def _path(self, key: str) -> str:
-        """Legacy pickle path for ``key``."""
-        return os.path.join(
-            self.root, "%s%s-%s.pkl" % (self.FILE_PREFIX, self.fingerprint[:12], key)
-        )
-
     def _arena_path(self, key: str) -> str:
         return os.path.join(
             self.root, "%s%s-%s.arena" % (self.FILE_PREFIX, self.fingerprint[:12], key)
         )
 
     def get(self, key: str) -> Optional[Any]:
-        """The snapshot for ``key``, or None (memory, arena, then pickle).
+        """The snapshot for ``key``, or None (memory tier, then arena file).
 
         A stored file that fails checksum verification — torn write,
         bit rot, or an injected ``snapshot.load`` fault — is quarantined
-        and reported as a miss; corruption is never an error here.
-        Arena hits return an :class:`~repro.storage.arena.ArenaSnapshot`
-        backed by the process-wide registry (one mmap + stub build per
-        process); legacy files return a :class:`Snapshot`.
+        and reported as a miss; corruption is never an error here.  Hits
+        return an :class:`~repro.storage.arena.ArenaSnapshot` backed by
+        the process-wide registry (one mmap + stub build per process).
         """
         with self._memory_lock:
             snapshot = self._memory.get(key)
@@ -227,103 +168,55 @@ class SnapshotStore:
                 self._memory.move_to_end(key)
                 self.stats["memory_hits"] += 1
                 return snapshot
-        snapshot = self._load_arena(key)
-        if snapshot is None:
-            snapshot = self._load_pickle(key)
-        if snapshot is None:
-            self.stats["misses"] += 1
-            return None
-        self._remember(key, snapshot)
-        self.stats["disk_hits"] += 1
-        return snapshot
-
-    def _load_arena(self, key: str) -> Optional[ArenaSnapshot]:
         path = self._arena_path(key)
         try:
             state = _arena.registry().load(path)
         except FileNotFoundError:
-            return None
+            state = None
         except (CacheCorrupt, OSError, ValueError):
             # Structural damage (or an injected snapshot.load fault):
-            # quarantine and fall through — the caller rebuilds
-            # deterministically and overwrites the arena.
+            # quarantine and miss — the caller rebuilds deterministically
+            # and overwrites the arena.
             _arena.registry().discard(path)
-            self._quarantine(path)
+            self.stats["corrupt"] += 1
+            _atomic.quarantine(path)
+            state = None
+        if state is None:
+            self.stats["misses"] += 1
             return None
-        return ArenaSnapshot(state)
-
-    def _load_pickle(self, key: str) -> Optional[Snapshot]:
-        path = self._path(key)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:
-            return None
-        blob = _fault.corrupt_bytes("snapshot.load", blob)
-        try:
-            return Snapshot.from_bytes(self._unframe(blob))
-        except Exception:
-            # Checksum mismatch, truncated header, or an unpicklable
-            # payload: quarantine the file and treat it as a miss — the
-            # caller rebuilds deterministically and overwrites it.
-            self._quarantine(path)
-            return None
+        snapshot = ArenaSnapshot(state)
+        self._remember(key, snapshot)
+        self.stats["disk_hits"] += 1
+        return snapshot
 
     def put(self, key: str, snapshot: Snapshot) -> None:
-        """Persist ``snapshot`` under ``key`` (checksummed atomic replace).
+        """Persist ``snapshot`` under ``key`` as an arena (atomic replace).
 
-        The store's ``format`` picks the on-disk layout: ``"arena"``
-        (default) writes the flat mmap arena, ``"pickle"`` the legacy
-        framed pickle.  May raise :class:`~repro.errors.FaultInjected`
-        (``snapshot.save`` site) or ``OSError``; callers degrade to
-        store-less operation.
+        May raise :class:`~repro.errors.FaultInjected` (``snapshot.save``
+        site) or ``OSError``; callers degrade to store-less operation.
         """
         _fault.hit("snapshot.save")
         self._remember(key, snapshot)
         os.makedirs(self.root, exist_ok=True)
-        if self.format == "arena":
-            blob = _arena.build_arena(snapshot._db)
-            path = self._arena_path(key)
-        else:
-            blob = self._frame(snapshot.to_bytes())
-            path = self._path(key)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, prefix=".tmp-db-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        path = self._arena_path(key)
+        _atomic.write_atomic(path, _arena.build_arena(snapshot._db))
         self.stats["puts"] += 1
-        if self.format == "arena":
-            # Serve same-process re-attaches from the arena we just
-            # wrote, not the builder's Snapshot: the memory tier then
-            # hands out the exact object a cold process would load, so
-            # cold and warm attaches take one code path (and the much
-            # cheaper one — metadata-only unpickle, zero payload bytes).
-            try:
-                state = _arena.registry().load(path)
-            except Exception:
-                pass  # keep the Snapshot; the next disk read re-verifies
-            else:
-                self._remember(key, ArenaSnapshot(state))
-
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt file aside (``*.corrupt``) so reloads miss it."""
-        self.stats["corrupt"] += 1
+        # The registry may still map the file this put replaced (same
+        # key, different content): drop it so the reload below — and
+        # every later get() in this process — reads the bytes just
+        # written, not the old inode.
+        _arena.registry().discard(path)
+        # Serve same-process re-attaches from the arena we just wrote,
+        # not the builder's Snapshot: the memory tier then hands out the
+        # exact object a cold process would load, so cold and warm
+        # attaches take one code path (and the much cheaper one —
+        # metadata-only unpickle, zero payload bytes).
         try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            state = _arena.registry().load(path)
+        except Exception:
+            pass  # keep the Snapshot; the next disk read re-verifies
+        else:
+            self._remember(key, ArenaSnapshot(state))
 
     def _remember(self, key: str, snapshot: Snapshot) -> None:
         with self._memory_lock:
@@ -338,24 +231,17 @@ class SnapshotStore:
     def entries(self) -> List[Tuple[str, int, float]]:
         """``(filename, bytes, mtime)`` for every stored snapshot file.
 
-        Lists *all* fingerprints and both on-disk formats (``*.arena``
-        and legacy ``*.pkl``), not just the current one, so stale files
-        are visible (and countable) before a ``clear``.
+        Lists *all* fingerprints and any ``db-*`` file left by older
+        stores (not just the current arenas), so stale files are visible
+        (and countable) before a ``clear``.  Quarantined ``*.corrupt``
+        files are not snapshots and are skipped.
         """
         out: List[Tuple[str, int, float]] = []
-        try:
-            names = sorted(os.listdir(self.root))
-        except FileNotFoundError:
-            return out
-        for name in names:
-            if not (
-                name.startswith(self.FILE_PREFIX)
-                and name.endswith(self._SUFFIXES)
-            ):
-                continue  # skips quarantined *.corrupt files too
-            path = os.path.join(self.root, name)
+        for name in self._stored_names():
+            if name.endswith(".corrupt"):
+                continue
             try:
-                info = os.stat(path)
+                info = os.stat(os.path.join(self.root, name))
             except OSError:
                 continue
             out.append((name, info.st_size, info.st_mtime))
@@ -365,21 +251,11 @@ class SnapshotStore:
         return sum(size for _, size, _ in self.entries())
 
     def clear(self) -> int:
-        """Delete every stored (and quarantined) file, both formats."""
+        """Delete every ``db-*`` file (stored or quarantined), any suffix."""
         removed = 0
-        try:
-            names = sorted(os.listdir(self.root))
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            is_stored = name.startswith(self.FILE_PREFIX) and name.endswith(
-                self._SUFFIXES
-            )
-            if not (is_stored or name.endswith(".corrupt")):
-                continue
+        for name in self._stored_names():
             path = os.path.join(self.root, name)
-            if name.endswith(".arena"):
-                _arena.registry().discard(path)
+            _arena.registry().discard(path)
             try:
                 os.unlink(path)
                 removed += 1
@@ -388,3 +264,10 @@ class SnapshotStore:
         with self._memory_lock:
             self._memory.clear()
         return removed
+
+    def _stored_names(self) -> List[str]:
+        try:
+            names = sorted(os.listdir(self.root))
+        except FileNotFoundError:
+            return []
+        return [name for name in names if name.startswith(self.FILE_PREFIX)]

@@ -12,7 +12,6 @@ from repro.core.representations import (
     is_valid_cell,
     is_valid_point,
     matrix_summary,
-    primary_of,
     strategies_for,
 )
 from repro.errors import RepresentationError
@@ -84,13 +83,9 @@ class TestMemberDescriptors:
         proc = ProceduralMembers("person", lambda r: True, "age >= 60")
         oids = OidMembers([Oid(1, 2)])
         values = ValueMembers([("John", 62)])
-        assert primary_of(proc) is PrimaryRep.PROCEDURAL
-        assert primary_of(oids) is PrimaryRep.OID
-        assert primary_of(values) is PrimaryRep.VALUE
-
-    def test_primary_of_rejects_junk(self):
-        with pytest.raises(RepresentationError):
-            primary_of("nope")
+        assert proc.primary is PrimaryRep.PROCEDURAL
+        assert oids.primary is PrimaryRep.OID
+        assert values.primary is PrimaryRep.VALUE
 
     def test_oid_members_normalises_to_tuple(self):
         members = OidMembers([Oid(1, 2), Oid(1, 3)])

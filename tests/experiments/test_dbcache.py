@@ -59,26 +59,24 @@ class TestDigestEquality:
 
     @pytest.mark.parametrize("strategy", ["BFS", "DFSCACHE", "PROC-CACHE-OIDS"])
     def test_every_attach_path_agrees(self, strategy, tmp_path):
-        """Fresh build, legacy-pickle attach and arena attach: one digest."""
+        """Fresh build, in-process template attach and arena attach: one digest."""
         params = WorkloadParams().scaled(SCALE)
         point = _point(params, strategy)
         fresh = pool.execute_point(point, DatabaseCache())
-        results = {}
-        for fmt in ("pickle", "arena"):
-            root = str(tmp_path / fmt)
-            # Populate, then re-open so the point really attaches from disk.
-            pool.execute_point(
-                point, DatabaseCache(store=SnapshotStore(root, format=fmt))
-            )
-            warm = DatabaseCache(store=SnapshotStore(root, format=fmt))
-            results[fmt] = pool.execute_point(point, warm)
-            assert warm.builds == 0
-            assert (warm.arena_attaches, warm.pickle_attaches) == (
-                (1, 0) if fmt == "arena" else (0, 1)
-            )
-        for fmt, result in results.items():
-            assert result["traced"]["digest"] == fresh["traced"]["digest"], fmt
-            assert result == fresh, fmt
+        template = DatabaseCache(store=None)
+        template.snapshot_mode = True  # deep-copy attach, no store
+        results = {"template": pool.execute_point(point, template)}
+        assert (template.attaches, template.arena_attaches) == (1, 0)
+        root = str(tmp_path / "arena")
+        # Populate, then re-open so the point really attaches from disk.
+        pool.execute_point(point, DatabaseCache(store=SnapshotStore(root)))
+        warm = DatabaseCache(store=SnapshotStore(root))
+        results["arena"] = pool.execute_point(point, warm)
+        assert warm.builds == 0
+        assert warm.arena_attaches == warm.attaches == 1
+        for path, result in results.items():
+            assert result["traced"]["digest"] == fresh["traced"]["digest"], path
+            assert result == fresh, path
 
 
 class TestDatabaseCacheWithStore:
@@ -164,8 +162,7 @@ class TestSweepTelemetry:
         run_sweep([_point(tiny_params, "BFS")])
         run_sweep([_point(tiny_params, "BFS", num_retrieves=4)])
         entry = pool.SWEEP_LOG[-1]
-        assert entry["db"]["arena_attaches"] == 1
-        assert entry["db"]["pickle_attaches"] == 0
+        assert entry["db"]["arena_attaches"] == entry["db"]["attaches"] == 1
         assert entry["db"]["page_payload_pickle_bytes"] == 0
 
 

@@ -11,7 +11,6 @@ from repro.obs.spans import (
     SpanStat,
     profiled,
     span,
-    traced_span,
 )
 
 
@@ -29,17 +28,6 @@ class TestOffPath:
     def test_null_span_is_a_noop_context_manager(self):
         with NULL_SPAN as opened:
             assert opened is None
-
-    def test_disabled_decorator_calls_through(self):
-        calls = []
-
-        @traced_span("decorated")
-        def fn(x):
-            calls.append(x)
-            return x + 1
-
-        assert fn(1) == 2
-        assert calls == [1]
 
     def test_enable_disable_roundtrip(self):
         prof = spans.enable()
@@ -81,16 +69,6 @@ class TestNesting:
         stat = prof.stats["op;codec.encode"]
         assert (stat.count, stat.total_ns) == (2, 4000)
         assert prof.stats["op"].child_ns >= 4000
-
-    def test_decorator_nests_like_a_span(self):
-        @traced_span("leaf")
-        def leaf():
-            return 7
-
-        with profiled() as prof:
-            with span("root"):
-                assert leaf() == 7
-        assert "root;leaf" in prof.stats
 
     def test_profiled_restores_the_previous_profiler(self):
         outer = spans.enable(SpanProfiler())

@@ -170,11 +170,17 @@ class TestZeroPickle:
         revived.attach()
         assert PICKLE_STATS.payload_bytes == before
 
-    def test_legacy_pickle_round_trip_is_counted(self, tiny_params, tmp_path):
+    def test_legacy_pickle_round_trip_is_counted(self, frozen_db):
+        # Positive control for the zero-pickle assertions: a frozen
+        # database pickled whole, as the retired pickle snapshot format
+        # stored it, must move the counter, or "stayed flat" would
+        # prove nothing.
         before = PICKLE_STATS.payload_bytes
-        store = SnapshotStore(str(tmp_path), format="pickle")
-        store.put("k", Snapshot.freeze(build_database(tiny_params)))
+        revived = pickle.loads(
+            pickle.dumps(frozen_db, protocol=pickle.HIGHEST_PROTOCOL)
+        )
         assert PICKLE_STATS.payload_bytes > before
+        assert revived.fetch_parent(1) == frozen_db.fetch_parent(1)
 
 
 class TestRegistryConcurrency:

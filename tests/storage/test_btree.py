@@ -253,3 +253,56 @@ class TestDelete:
         assert list(tree.scan()) == []
         tree.insert(rec(5))
         assert tree.lookup_one(5) == rec(5)
+
+
+class TestNonUniqueRuns:
+    """A run of equal keys split across leaves is found in full.
+
+    Small pages force the 40 copies of key 5 across many leaves, with
+    separators equal to 5; every read and write path must still see
+    every copy, whatever the insertion order.
+    """
+
+    COPIES = 40
+
+    def _tree(self, order):
+        catalog = Catalog(64, 256)
+        tree = make_tree(catalog, "run", unique=False)
+        records = [rec(k, k) for k in range(5)] + [
+            rec(5, 100 + i) for i in range(self.COPIES)
+        ]
+        if order == "bulk":
+            tree.bulk_load(records)
+        else:
+            if order != "sorted":
+                random.Random(order).shuffle(records)
+            for record in records:
+                tree.insert(record)
+        tree.check_invariants()
+        assert tree.num_leaf_pages > 2
+        return tree
+
+    @pytest.mark.parametrize("order", ["bulk", "sorted", 0, 1, 2, 3])
+    def test_reads_see_every_copy(self, order):
+        tree = self._tree(order)
+        assert len(tree.lookup(5)) == self.COPIES
+        assert len(list(tree.range_scan(lo=5, hi=5))) == self.COPIES
+        assert len(list(tree.range_scan(lo=5))) == self.COPIES
+        assert [r[0] for r in tree.range_scan(lo=4, hi=4)] == [4]
+
+    @pytest.mark.parametrize("order", ["bulk", "sorted", 0, 1, 2, 3])
+    def test_writes_reach_every_copy(self, order):
+        tree = self._tree(order)
+        for i in range(self.COPIES):
+            # Deleting from the left empties the leaves the descent
+            # lands on, so update and delete must walk right to the run.
+            tree.update(5, rec(5, -1))
+            assert tree.update_field(5, "value", -2)[1] == -2
+            assert tree.delete(5)[1] == -2
+            assert len(tree.lookup(5)) == self.COPIES - i - 1
+        with pytest.raises(KeyNotFoundError):
+            tree.delete(5)
+        with pytest.raises(KeyNotFoundError):
+            tree.update(5, rec(5))
+        assert [r[0] for r in tree.scan()] == [0, 1, 2, 3, 4]
+        tree.check_invariants()

@@ -1,6 +1,7 @@
 """Copy-on-write snapshots: frozen pages, clone isolation, the store."""
 
 import os
+import pickle
 
 import pytest
 
@@ -151,6 +152,16 @@ class TestSnapshotAttach:
         assert one.fetch_child(rel_index, key)[ret1] == 424242
         assert two.fetch_child(rel_index, key) == before
 
+    def test_roundtrips_through_pickle(self, snapshot):
+        # Frozen pages pickle as their byte images; a revived template
+        # still attaches clones that answer like the original.
+        revived = Snapshot(pickle.loads(pickle.dumps(snapshot._db)))
+        db = revived.attach()
+        rel_index, key = self._unit(db)
+        assert db.fetch_child(rel_index, key) == snapshot.attach().fetch_child(
+            rel_index, key
+        )
+
     def test_template_survives_clone_mutation(self, snapshot):
         one = snapshot.attach()
         rel_index, key = self._unit(one)
@@ -160,18 +171,14 @@ class TestSnapshotAttach:
             later.child_schema.field_index("ret1")
         ] != 777
 
-    def test_roundtrips_through_pickle(self, snapshot):
-        revived = Snapshot.from_bytes(snapshot.to_bytes())
-        db = revived.attach()
-        rel_index, key = self._unit(db)
-        assert db.fetch_child(rel_index, key) == snapshot.attach().fetch_child(
-            rel_index, key
-        )
-
 
 class TestSnapshotStore:
     def _snapshot(self, tiny_params):
         return Snapshot.freeze(build_database(tiny_params))
+
+    def _unit_of(self, db):
+        rel_index, keys = db.unit_ref_of(db.fetch_parent(1))
+        return rel_index, keys[0]
 
     def test_roundtrip_memory_then_disk(self, tiny_params, tmp_path):
         store = SnapshotStore(str(tmp_path))
@@ -223,21 +230,50 @@ class TestSnapshotStore:
         assert os.path.exists(path + ".corrupt")
 
     def test_corrupt_legacy_pickle_is_a_miss(self, tiny_params, tmp_path):
-        store = SnapshotStore(str(tmp_path), format="pickle")
-        store.put("k", self._snapshot(tiny_params))
-        with open(store._path("k"), "wb") as handle:
+        # A pickle file an older store left under the key's name is
+        # never read: the arena is the only format.
+        store = SnapshotStore(str(tmp_path))
+        legacy = store._arena_path("k")[: -len(".arena")] + ".pkl"
+        with open(legacy, "wb") as handle:
             handle.write(b"not a pickle")
-        fresh = SnapshotStore(str(tmp_path))
-        assert fresh.get("k") is None
-        assert fresh.stats["misses"] == 1
+        assert store.get("k") is None
+        assert store.stats["misses"] == 1
+        assert store.stats["corrupt"] == 0
+        assert os.path.exists(legacy)
 
-    def test_legacy_pickle_format_round_trips(self, tiny_params, tmp_path):
-        store = SnapshotStore(str(tmp_path), format="pickle")
+    def test_reput_same_key_serves_the_new_content(self, tiny_params, tmp_path):
+        # Regression: put k->A, put k->B, then a same-process get (even
+        # through a fresh store) must attach B — the bytes on disk —
+        # not the registry's cached mapping of A's replaced file.
+        first = build_database(tiny_params)
+        second = build_database(tiny_params)
+        rel_index, key = self._unit_of(second)
+        second.apply_update([(rel_index, key)], 424242)
+        store = SnapshotStore(str(tmp_path))
+        store.put("k", Snapshot.freeze(first))
+        assert store.get("k").attach().fetch_child(rel_index, key)[
+            first.child_schema.field_index("ret1")
+        ] != 424242
+        store.put("k", Snapshot.freeze(second))
+        ret1 = second.child_schema.field_index("ret1")
+        for reader in (store, SnapshotStore(str(tmp_path))):
+            db = reader.get("k").attach()
+            assert db.fetch_child(rel_index, key)[ret1] == 424242
+
+    def test_stray_files_of_any_suffix_are_listed_and_cleared(
+        self, tiny_params, tmp_path
+    ):
+        store = SnapshotStore(str(tmp_path))
         store.put("k", self._snapshot(tiny_params))
-        fresh = SnapshotStore(str(tmp_path))  # arena-first store reads it
-        revived = fresh.get("k")
-        assert isinstance(revived, Snapshot)
-        assert fresh.stats["disk_hits"] == 1
+        stray = tmp_path / ("db-%s-old.pkl" % ("0" * 12))
+        stray.write_bytes(b"left by an older store")
+        quarantined = tmp_path / ("db-%s-bad.arena.corrupt" % ("0" * 12))
+        quarantined.write_bytes(b"evidence")
+        names = [name for name, _, _ in store.entries()]
+        assert stray.name in names and quarantined.name not in names
+        assert len(names) == 2
+        assert store.clear() == 3
+        assert os.listdir(str(tmp_path)) == []
 
     def test_clear_and_bytes_on_disk(self, tiny_params, tmp_path):
         store = SnapshotStore(str(tmp_path))
