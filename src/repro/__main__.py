@@ -23,8 +23,9 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.core.representations import matrix_summary
-from repro.core.strategies import REGISTRY
+from repro.core.strategies import REGISTRY, make_strategy
 from repro.util.fmt import format_kv, format_table
+from repro.workload.driver import database_for
 from repro.workload.generator import build_database
 from repro.workload.params import WorkloadParams
 
@@ -116,6 +117,7 @@ def _run_profiled(args: argparse.Namespace, fn):
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.pool import (
         DB_CACHE_DIRNAME,
+        FailedPoint,
         SweepPoint,
         configure_db_store,
         run_sweep,
@@ -134,6 +136,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         num_retrieves=params.num_queries,
     )
     report = _run_profiled(args, lambda: run_sweep([point], jobs=args.jobs)[0])
+    if isinstance(report, FailedPoint):
+        sys.stderr.write(
+            "repro: %s quarantined after %d attempt(s): %s\n"
+            % (args.strategy, report.attempts, report.error)
+        )
+        return 1
     pairs = [
         ("strategy", report.strategy),
         ("parents", params.num_parents),
@@ -324,18 +332,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.queries import RetrieveQuery
 
     params = _params_from_args(args)
-    strategy_cls = REGISTRY[args.strategy]
-    db = build_database(
-        params,
-        clustering=strategy_cls.uses_clustering,
-        cache=strategy_cls.uses_cache or args.strategy.startswith("PROC"),
-        procedural=args.strategy.startswith("PROC"),
-    )
-    if args.strategy == "DFSCACHE-INSIDE":
-        db.enable_inside_cache(
-            params.size_cache,
-            unit_bytes_hint=params.size_unit * params.child_bytes,
-        )
+    db = database_for(params, make_strategy(args.strategy))
     query = RetrieveQuery(0, params.num_top - 1, "ret1")
     if getattr(args, "measure", False):
         print(measured_explain(args.strategy, db, query))
@@ -347,28 +344,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.strategies.base import make_strategy
     from repro.obs import MetricsRegistry, Tracer
     from repro.workload.driver import run_sequence
     from repro.workload.queries import generate_sequence
 
     params = _params_from_args(args)
     strategy = make_strategy(args.strategy)
-    procedural = args.strategy.startswith("PROC")
-    want_cache = procedural or (
-        strategy.uses_cache and args.strategy != "DFSCACHE-INSIDE"
-    )
-    db = build_database(
-        params,
-        clustering=strategy.uses_clustering,
-        cache=want_cache,
-        procedural=procedural,
-    )
-    if args.strategy == "DFSCACHE-INSIDE":
-        db.enable_inside_cache(
-            params.size_cache,
-            unit_bytes_hint=params.size_unit * params.child_bytes,
-        )
+    db = database_for(params, strategy)
     sequence = generate_sequence(params, db)
     registry = MetricsRegistry()
     tracer = Tracer(registry=registry, keep_events=True)
@@ -386,7 +368,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ("avg I/O per retrieve", round(report.avg_io_per_retrieve, 2)),
         ("event digest", summary["digest"][:16]),
     ]))
-    wall_ns = getattr(report, "wall_ns", None) or {}
     for title, field in (
         ("page kind", "by_kind"),
         ("phase", "by_phase"),
@@ -394,20 +375,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ("relation", "by_relation"),
     ):
         print()
-        if field == "by_phase" and wall_ns:
-            # Simulated page counts next to real time, phase by phase:
-            # the wall column is the CostMeter's always-on per-phase
-            # clock, never part of the traced digest.
-            rows = [
-                [name, count, "%.1f" % (wall_ns.get(name, 0) / 1e6)]
-                for name, count in sorted(summary[field].items())
-            ]
-            print(format_table([title, "pages", "wall_ms"], rows))
-        else:
-            rows = [
-                [name, count] for name, count in sorted(summary[field].items())
-            ]
-            print(format_table([title, "pages"], rows))
+        rows = [[name, count] for name, count in sorted(summary[field].items())]
+        print(format_table([title, "pages"], rows))
     measured = summary["measured"]
     print()
     print(format_kv([

@@ -239,15 +239,4 @@ def measured_explain(
             for name, pages in sorted(summary["by_stage"].items())
         ),
     ]
-    # Simulated page counts next to real time: the meter's per-phase
-    # wall clock rides along with the I/O attribution (it never feeds
-    # the counters above, so estimates stay deterministic).
-    if meter.wall_ns:
-        lines.append(
-            "    wall clock:    "
-            + " ".join(
-                "%s=%.1fms" % (name, elapsed / 1e6)
-                for name, elapsed in sorted(meter.wall_ns.items())
-            )
-        )
     return "\n".join(lines)

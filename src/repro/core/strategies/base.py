@@ -14,12 +14,49 @@ the :data:`parent <repro.core.measure.PARENT_PHASE>` /
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Type
 
 from repro.core.database import ComplexObjectDB
 from repro.core.measure import CostMeter, NullMeter, UPDATE_PHASE
 from repro.core.queries import RetrieveQuery, UpdateQuery
 from repro.errors import QueryError
+
+
+@dataclass(frozen=True)
+class DatabaseNeeds:
+    """The database a strategy runs against.
+
+    This is the one rule for picking a strategy's database: every caller
+    that builds, shares or groups databases per strategy asks
+    :meth:`Strategy.database_needs` instead of testing strategy names.
+    """
+
+    #: Build ClusterRel (DFSCLUST).
+    clustering: bool = False
+    #: Build the outside unit cache.
+    cache: bool = False
+    #: Store a procedure per parent (the PROC-* strategies).
+    procedural: bool = False
+    #: Enable the per-object inside cache after the build (DFSCACHE-INSIDE).
+    inside_cache: bool = False
+
+    def build_flags(self) -> Dict[str, bool]:
+        """Keyword arguments for ``build_database`` and ``DatabaseCache``."""
+        return {
+            "clustering": self.clustering,
+            "cache": self.cache,
+            "procedural": self.procedural,
+        }
+
+    def prepare(self, db: ComplexObjectDB, params: Any) -> ComplexObjectDB:
+        """Add to a built ``db`` what no build flag provides; returns ``db``."""
+        if self.inside_cache and db.inside_cache is None:
+            db.enable_inside_cache(
+                params.size_cache,
+                unit_bytes_hint=params.size_unit * params.child_bytes,
+            )
+        return db
 
 
 class Strategy(abc.ABC):
@@ -32,6 +69,31 @@ class Strategy(abc.ABC):
     #: Whether the strategy runs against ClusterRel instead of
     #: ParentRel/ChildRel.
     uses_clustering: bool = False
+    #: Whether the strategy evaluates stored procedures (the procedural
+    #: primary representation) instead of following OID units.
+    procedural: bool = False
+    #: Whether the strategy's cache is the per-object inside cache
+    #: rather than the outside unit cache.
+    inside_cache: bool = False
+
+    def database_needs(
+        self, cache: Optional[bool] = None, procedural: bool = False
+    ) -> DatabaseNeeds:
+        """The database this strategy runs against.
+
+        Procedural strategies share one database shape, cache included,
+        whether or not they read the cache.  ``cache`` (when not None)
+        and ``procedural=True`` override the rule for experiments that
+        run several strategies against one shared database.
+        """
+        if cache is None:
+            cache = self.procedural or (self.uses_cache and not self.inside_cache)
+        return DatabaseNeeds(
+            clustering=self.uses_clustering,
+            cache=cache,
+            procedural=procedural or self.procedural,
+            inside_cache=self.inside_cache,
+        )
 
     def check_database(self, db: ComplexObjectDB) -> None:
         """Raise QueryError unless ``db`` has what this strategy needs."""

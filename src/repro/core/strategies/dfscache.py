@@ -80,6 +80,7 @@ class InsideDfsCacheStrategy(Strategy):
 
     name = "DFSCACHE-INSIDE"
     uses_cache = True
+    inside_cache = True
 
     def check_database(self, db: ComplexObjectDB) -> None:
         from repro.errors import QueryError

@@ -49,6 +49,7 @@ def procedure_hashkey(procedure: Tuple[int, int, int]) -> int:
 class _ProceduralBase(Strategy):
     """Shared plumbing: procedure resolution and batched scans."""
 
+    procedural = True
     #: What gets cached: None, "oids", or "values".
     cached_rep: Optional[str] = None
 

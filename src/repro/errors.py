@@ -130,24 +130,14 @@ class Overloaded(ReproError):
 
 
 class PointFailed(ReproError):
-    """A sweep point could not be measured (bad spec or retries exhausted).
+    """A sweep point's spec is malformed, so no retry can measure it.
 
-    ``point`` is the failing :class:`~repro.experiments.pool.SweepPoint`,
-    ``attempts`` how many executions were tried (0 for spec errors, which
-    no retry can fix), and ``cause`` the final underlying exception.
+    ``point`` is the failing :class:`~repro.experiments.pool.SweepPoint`.
     """
 
-    def __init__(
-        self,
-        message: str,
-        point: object = None,
-        attempts: int = 0,
-        cause: "BaseException | None" = None,
-    ) -> None:
+    def __init__(self, message: str, point: object = None) -> None:
         super().__init__(message)
         self.point = point
-        self.attempts = attempts
-        self.cause = cause
 
 
 class SweepInterrupted(ReproError):

@@ -30,6 +30,19 @@ point attaches a clone in milliseconds — serially, in every pool
 worker, and across repeated report runs.  ``SWEEP_LOG`` entries carry
 the build/attach split so the saving is visible in telemetry.
 
+One per-point core serves both drivers.  :func:`_attempt` runs a point
+under the retry and deadline budget and returns either its result
+payload or a failed one; :meth:`_Sweep.settle` lands every outcome —
+quarantine, point-cache write, progress event and counters — whether it
+came from the serial loop, a pool worker, a parent-side charge against
+a hung or failed worker, the Ctrl-C flush or the serial fallback.  The
+serial driver is the in-process loop around the two; the parallel
+driver adds dispatch, the watchdog and one pool-restart path shared by
+crashed and hung workers.  Which database a point needs is the
+strategy's own rule
+(:meth:`~repro.core.strategies.base.Strategy.database_needs`), with the
+point's ``db_cache``/``db_procedural`` as overrides.
+
 Fault tolerance (see :mod:`repro.fault`): a point's measurement is
 deterministic, so every failure is recoverable by re-deriving state —
 
@@ -94,7 +107,7 @@ from repro.obs import spans as _spans
 from repro.storage.snapshot import SnapshotStore
 from repro.util import atomic as _atomic
 from repro.util import deadline as _deadline
-from repro.util.fingerprint import code_fingerprint  # noqa: F401  (re-export)
+from repro.util.fingerprint import code_fingerprint
 from repro.workload.driver import CostReport, run_sequence
 from repro.workload.params import WorkloadParams
 from repro.workload.queries import generate_mixed_sequence, generate_sequence
@@ -210,9 +223,11 @@ class SweepPoint:
     #: ``"standard"`` or ``"mixed"`` (Section 5.3's NumTop mix).
     sequence: str = "standard"
     mix_num_tops: Optional[Tuple[int, ...]] = None
-    #: Force the cache facility on/off on the database (None = derive
-    #: from the strategy, as run_point does).
+    #: Force the cache facility on/off on the database (None = the
+    #: strategy's :meth:`~repro.core.strategies.base.Strategy.database_needs`).
     db_cache: Optional[bool] = None
+    #: Give the database stored procedures even for a non-procedural
+    #: strategy (experiments that share one database across strategies).
     db_procedural: bool = False
     strategy_kwargs: Tuple[Tuple[str, Any], ...] = ()
     #: Run the point under a :class:`repro.obs.Tracer` (aggregates only,
@@ -501,20 +516,8 @@ def _execute_workload(
     strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
     if db_cache is None:
         db_cache = DatabaseCache()
-    if point.db_cache is not None:
-        want_cache = point.db_cache
-    else:
-        want_cache = strategy.uses_cache and point.strategy != "DFSCACHE-INSIDE"
-    db = db_cache.get(
-        params,
-        clustering=strategy.uses_clustering,
-        cache=want_cache,
-        procedural=point.db_procedural,
-    )
-    if point.strategy == "DFSCACHE-INSIDE" and db.inside_cache is None:
-        db.enable_inside_cache(
-            params.size_cache, unit_bytes_hint=params.size_unit * params.child_bytes
-        )
+    needs = strategy.database_needs(point.db_cache, point.db_procedural)
+    db = needs.prepare(db_cache.get(params, **needs.build_flags()), params)
     if point.sequence == "mixed":
         if not point.mix_num_tops:
             raise PointFailed(
@@ -627,19 +630,20 @@ def _point_deadline(seconds: Optional[float]) -> Iterator[None]:
             signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_with_recovery(
+def _attempt(
     point: SweepPoint,
     db_cache: DatabaseCache,
     policy: RetryPolicy,
     counters: Dict[str, Any],
 ) -> Dict[str, Any]:
-    """Run one point with the policy's retry/deadline budget.
+    """Run one point within the policy's retry/deadline budget.
 
     Failures are retried with exponential backoff against a freshly
     materialized database (the previous attempt may have left a
     half-mutated clone; re-attaching is deterministic, so the retry's
-    measurement is identical to an undisturbed run).  Raises
-    :class:`PointFailed` once the budget is exhausted — or immediately
+    measurement is identical to an undisturbed run), counting retries
+    and timeouts into ``counters``.  Returns the result payload, or a
+    ``kind="failed"`` payload once the budget is exhausted — at once
     for malformed specs, which no retry can fix.
     """
     attempts = 0
@@ -647,23 +651,22 @@ def _execute_with_recovery(
         try:
             with _point_deadline(policy.point_timeout):
                 return execute_point(point, db_cache)
-        except PointFailed:
-            raise
+        except PointFailed as exc:
+            return _failed(exc, attempts)
         except Exception as exc:  # KeyboardInterrupt/SystemExit pass through
             attempts += 1
             if isinstance(exc, WorkerLost):
                 counters["timeouts"] += 1
             if attempts > policy.max_retries:
-                raise PointFailed(
-                    "point %s failed after %d attempt(s): %s"
-                    % (point_label(point), attempts, exc),
-                    point=point,
-                    attempts=attempts,
-                    cause=exc,
-                )
+                return _failed(exc, attempts)
             counters["retries"] += 1
             db_cache.clear()
             time.sleep(policy.backoff_seconds * (2 ** (attempts - 1)))
+
+
+def _failed(error: BaseException, attempts: int) -> Dict[str, Any]:
+    """The payload of a point that will not be measured."""
+    return {"kind": "failed", "error": str(error), "attempts": attempts}
 
 
 # ----------------------------------------------------------------------
@@ -734,54 +737,45 @@ def _injection_delta(
     }
 
 
-def _run_task(
-    task: Tuple[int, SweepPoint]
-) -> Tuple[int, Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
+def _add(into: Dict[str, Any], delta: Dict[str, Any]) -> None:
+    """Counter-wise ``into += delta``."""
+    for key, value in delta.items():
+        into[key] = into.get(key, 0) + value
+
+
+def _run_task(point: SweepPoint) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Worker-side execution of one point (with worker-side retries).
 
-    Returns ``(index, payload, db_stats_delta, task_counters)``.  A
-    point that exhausts its retries comes back as a ``kind="failed"``
-    payload rather than an exception, so its database-cache telemetry
-    still reaches the parent.  The ``worker.crash``/``worker.hang``
-    sites fire here — before any measurement — to exercise the parent's
-    pool-recovery machinery.
+    Returns ``(payload, tallies)``: the :func:`_attempt` payload, and the
+    task's retries, timeouts, fault injections and database-cache
+    counter deltas for :meth:`_Sweep.settle` to fold into the parent's
+    totals.  The ``worker.crash``/``worker.hang`` sites fire here —
+    before any measurement — to exercise the parent's pool-recovery
+    machinery.
     """
-    index, point = task
     _fault.hit("worker.crash")
     _fault.hit("worker.hang")
     cache = _WORKER_DB_CACHE if _WORKER_DB_CACHE is not None else DatabaseCache()
-    task_counters: Dict[str, Any] = {"retries": 0, "timeouts": 0}
+    tallies: Dict[str, Any] = {"retries": 0, "timeouts": 0}
     plan = _fault.active()
     injections_before = dict(plan.injections) if plan is not None else {}
     before = cache.stats_snapshot()
-    try:
-        payload = _execute_with_recovery(point, cache, _WORKER_POLICY, task_counters)
-    except PointFailed as exc:
-        payload = {
-            "kind": "failed",
-            "error": str(exc.cause or exc),
-            "attempts": exc.attempts,
-        }
-    after = cache.stats_snapshot()
-    if plan is not None:
-        task_counters["injections"] = _injection_delta(
-            plan.injections, injections_before
-        )
-    return index, payload, _stats_delta(after, before), task_counters
+    payload = _attempt(point, cache, _WORKER_POLICY, tallies)
+    tallies["db"] = _stats_delta(cache.stats_snapshot(), before)
+    tallies["injections"] = _injection_delta(
+        plan.injections if plan is not None else {}, injections_before
+    )
+    return payload, tallies
 
 
 def _dispatch_key(point: SweepPoint) -> Tuple:
     """Sort key grouping points that can share one built database."""
     if point.kind == "deep":
         return ("deep", repr(point.deep_params))
-    params = point.params
-    strategy_cls = make_strategy(point.strategy, **dict(point.strategy_kwargs))
-    if point.db_cache is not None:
-        want_cache = point.db_cache
-    else:
-        want_cache = strategy_cls.uses_cache and point.strategy != "DFSCACHE-INSIDE"
+    strategy = make_strategy(point.strategy, **dict(point.strategy_kwargs))
+    needs = strategy.database_needs(point.db_cache, point.db_procedural)
     return ("workload",) + DatabaseCache().shape_key(
-        params, strategy_cls.uses_clustering, want_cache, point.db_procedural
+        point.params, **needs.build_flags()
     )
 
 
@@ -840,6 +834,76 @@ def resolve_jobs(jobs: Any) -> int:
     return count
 
 
+class _Sweep:
+    """One sweep's results and counters, and the one place outcomes land.
+
+    Both drivers hand every finished point to :meth:`settle`: serial
+    and pooled results, attempts the parent charges to a hung or failed
+    worker, the results flushed on Ctrl-C and those of the serial
+    fallback.  Quarantine, checkpointing, progress and counting are
+    therefore the same whichever driver ran the point.
+    """
+
+    def __init__(
+        self,
+        points: Sequence[SweepPoint],
+        keys: List[Optional[str]],
+        results: List[Any],
+        cache: Optional[PointCache],
+        policy: RetryPolicy,
+    ) -> None:
+        self.points = points
+        self.keys = keys
+        self.results = results
+        self.cache = cache
+        self.policy = policy
+        self.counters: Dict[str, Any] = {
+            "retries": 0,
+            "timeouts": 0,
+            "pool_restarts": 0,
+            "downgrades": 0,
+            "quarantined": [],
+        }
+        #: Database-cache counter deltas (builds, attaches, store hits).
+        self.db: Dict[str, Any] = {}
+        #: Fault injections that fired inside pool workers.
+        self.worker_injections: Dict[str, int] = {}
+
+    def settle(
+        self,
+        index: int,
+        payload: Dict[str, Any],
+        tallies: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Record point ``index``'s outcome.
+
+        ``payload`` is a result payload or a ``kind="failed"`` one;
+        ``tallies`` (pooled points only) are the worker's counters for
+        the task, which in-process execution counts directly.
+        """
+        counters = self.counters
+        if tallies is not None:
+            counters["retries"] += tallies["retries"]
+            counters["timeouts"] += tallies["timeouts"]
+            _add(self.db, tallies["db"])
+            _add(self.worker_injections, tallies["injections"])
+        point = self.points[index]
+        failed = payload.get("kind") == "failed"
+        if failed:
+            self.results[index] = FailedPoint(
+                point, payload["error"], payload["attempts"]
+            )
+            counters["quarantined"].append(point_label(point))
+        else:
+            if self.cache is not None:
+                with _spans.span("point.cache_write"):
+                    self.cache.put(self.keys[index], payload)
+            self.results[index] = _payload_to_result(payload)
+        progress = _PROGRESS
+        if progress is not None:
+            progress("point_done", {"index": index, "failed": failed})
+
+
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
@@ -860,13 +924,6 @@ def run_sweep(
     """
     policy = policy or DEFAULT_POLICY
     t_start = time.perf_counter()
-    counters: Dict[str, Any] = {
-        "retries": 0,
-        "timeouts": 0,
-        "pool_restarts": 0,
-        "downgrades": 0,
-        "quarantined": [],
-    }
     plan = _fault.active()
     injections_before = dict(plan.injections) if plan is not None else {}
     cache_before = cache.stats_snapshot() if cache is not None else {}
@@ -890,17 +947,13 @@ def run_sweep(
     if progress is not None:
         progress("sweep_start",
                  {"total": len(points), "cache_hits": hits, "jobs": jobs})
-    db_stats: Dict[str, Any] = {}
+    sweep = _Sweep(points, keys, results, cache, policy)
     if pending:
         try:
             if jobs > 1 and len(pending) > 1:
-                db_stats = _run_parallel(
-                    points, pending, keys, results, cache, jobs, policy, counters
-                )
+                _run_parallel(sweep, pending, jobs)
             else:
-                db_stats = _run_serial(
-                    points, pending, keys, results, cache, policy, counters
-                )
+                _run_serial(sweep, pending)
         except KeyboardInterrupt:
             completed = sum(1 for result in results if result is not None)
             raise SweepInterrupted(completed, len(points)) from None
@@ -908,13 +961,13 @@ def run_sweep(
     injections = _injection_delta(
         plan.injections if plan is not None else {}, injections_before
     )
-    for site, count in counters.pop("worker_injections", {}).items():
-        injections[site] = injections.get(site, 0) + count
+    _add(injections, sweep.worker_injections)
     cache_stats = (
         _stats_delta(cache.stats_snapshot(), cache_before)
         if cache is not None
         else {}
     )
+    counters, db_stats = sweep.counters, sweep.db
     faults = {
         "injections": injections,
         "retries": counters["retries"],
@@ -960,43 +1013,20 @@ def _record_fault_metrics(faults: Dict[str, Any]) -> None:
         reg.inc("fault.quarantined", len(faults["quarantined"]))
 
 
-def _run_serial(
-    points: Sequence[SweepPoint],
-    pending: Sequence[int],
-    keys: List[Optional[str]],
-    results: List[Any],
-    cache: Optional[PointCache],
-    policy: RetryPolicy,
-    counters: Dict[str, Any],
-) -> Dict[str, Any]:
+def _run_serial(sweep: _Sweep, pending: Sequence[int]) -> None:
     """Execute ``pending`` in-process, checkpointing after every point."""
     db_cache = DatabaseCache(store=_db_store())
     before = db_cache.stats_snapshot()
-    progress = _PROGRESS
     for i in pending:
         # The ``sweep.kill`` site SIGKILLs the process here — *between*
         # points — so every completed point is already checkpointed.
         _fault.hit("sweep.kill")
-        try:
-            with _spans.span("point.execute"):
-                payload = _execute_with_recovery(
-                    points[i], db_cache, policy, counters
-                )
-        except PointFailed as exc:
-            results[i] = FailedPoint(points[i], exc.cause or exc, exc.attempts)
-            counters["quarantined"].append(point_label(points[i]))
-            if progress is not None:
-                progress("point_done", {"index": i, "failed": True})
-            continue
-        if cache is not None and keys[i] is not None:
-            with _spans.span("point.cache_write"):
-                cache.put(keys[i], payload)
-        results[i] = _payload_to_result(payload)
-        if progress is not None:
-            progress("point_done", {"index": i, "failed": False})
+        with _spans.span("point.execute"):
+            payload = _attempt(sweep.points[i], db_cache, sweep.policy, sweep.counters)
+        sweep.settle(i, payload)
     # Delta, not totals: the store singleton's counters span every
     # run_sweep call in this process.
-    return _stats_delta(db_cache.stats_snapshot(), before)
+    _add(sweep.db, _stats_delta(db_cache.stats_snapshot(), before))
 
 
 def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
@@ -1024,24 +1054,15 @@ def _aggregate_reports(results: Sequence[Any]) -> Dict[str, Any]:
     return {"reports": reports, "buffer": buffer, "io": io}
 
 
-def _run_parallel(
-    points: Sequence[SweepPoint],
-    pending: List[int],
-    keys: List[Optional[str]],
-    results: List[Any],
-    cache: Optional[PointCache],
-    jobs: int,
-    policy: RetryPolicy,
-    counters: Dict[str, Any],
-) -> Dict[str, Any]:
+def _run_parallel(sweep: _Sweep, pending: List[int], jobs: int) -> None:
     """Fan ``pending`` out over a worker pool, surviving worker loss.
 
     Workers run points (with worker-side retries) and stream results
     back; the parent is the watchdog.  A crashed worker breaks the
     whole executor (``BrokenProcessPool``), so the pool is rebuilt and
     unfinished points re-dispatched; a worker that hangs past
-    ``policy.point_timeout`` is detected by deadline, its pool is torn
-    down the same way, and the hung point is charged an attempt.  After
+    ``policy.point_timeout`` is detected by deadline, charged an
+    attempt, and its pool rebuilt the same way.  After
     ``policy.max_pool_restarts`` rebuilds the sweep stops trusting
     process pools and finishes the remainder serially (a logged
     downgrade, never an abort).
@@ -1050,6 +1071,7 @@ def _run_parallel(
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
+    policy, counters = sweep.policy, sweep.counters
     method = "fork" if "fork" in mp.get_all_start_methods() else None
     context = mp.get_context(method)
     # Cost-aware longest-first order (see _dispatch_order).  The shared
@@ -1057,11 +1079,10 @@ def _run_parallel(
     # free worker exactly one point at a time, so a worker that drains
     # its database group simply steals the next pending point — no
     # worker idles behind a static partition while another has backlog.
-    order = _dispatch_order(points, pending)
+    order = _dispatch_order(sweep.points, pending)
     todo: "deque[int]" = deque(order)
     attempts: Dict[int, int] = {i: 0 for i in order}
-    db_stats: Dict[str, Any] = {}
-    worker_injections: Dict[str, int] = {}
+    running: Dict[Any, Tuple[int, float]] = {}
     restarts = 0
     plan = _fault.active()
 
@@ -1074,53 +1095,42 @@ def _run_parallel(
         )
 
     def shutdown_hard(pool: ProcessPoolExecutor) -> None:
-        processes = list(getattr(pool, "_processes", {}).values())
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # pragma: no cover - pre-3.9 signature
-            pool.shutdown(wait=False)
+        # A pool that was already shut down has ``_processes = None``.
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             if process.is_alive():
                 process.terminate()
         for process in processes:
             process.join(1.0)
 
-    def finish(index: int, payload: Dict[str, Any], delta: Dict[str, Any],
-               task_counters: Dict[str, Any]) -> None:
-        for key, value in delta.items():
-            db_stats[key] = db_stats.get(key, 0) + value
-        counters["retries"] += task_counters.get("retries", 0)
-        counters["timeouts"] += task_counters.get("timeouts", 0)
-        for site, count in task_counters.get("injections", {}).items():
-            worker_injections[site] = worker_injections.get(site, 0) + count
-        progress = _PROGRESS
-        if payload.get("kind") == "failed":
-            results[index] = FailedPoint(
-                points[index], payload["error"], payload["attempts"]
-            )
-            counters["quarantined"].append(point_label(points[index]))
-            if progress is not None:
-                progress("point_done", {"index": index, "failed": True})
-            return
-        if cache is not None and keys[index] is not None:
-            with _spans.span("point.cache_write"):
-                cache.put(keys[index], payload)
-        results[index] = _payload_to_result(payload)
-        if progress is not None:
-            progress("point_done", {"index": index, "failed": False})
+    def restart(pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Replace ``pool``; its running points are re-dispatched first.
+
+        Re-dispatch charges no attempt — the restart budget bounds crash
+        loops.
+        """
+        nonlocal restarts
+        for index, _t0 in running.values():
+            todo.appendleft(index)
+        running.clear()
+        restarts += 1
+        counters["pool_restarts"] += 1
+        shutdown_hard(pool)
+        if restarts > policy.max_pool_restarts:
+            raise WorkerLost("worker pool failed %d times" % restarts)
+        return make_executor()
 
     def charge_attempt(index: int, error: BaseException) -> None:
         """One failed parent-side attempt for ``index`` (requeue or give up)."""
         attempts[index] += 1
         if attempts[index] > policy.max_retries:
-            results[index] = FailedPoint(points[index], error, attempts[index])
-            counters["quarantined"].append(point_label(points[index]))
+            sweep.settle(index, _failed(error, attempts[index]))
         else:
             counters["retries"] += 1
             todo.append(index)
 
     executor = make_executor()
-    running: Dict[Any, Tuple[int, float]] = {}
     try:
         try:
             while todo or running:
@@ -1130,7 +1140,7 @@ def _run_parallel(
                 while todo and len(running) < jobs:
                     i = todo.popleft()
                     try:
-                        future = executor.submit(_run_task, (i, points[i]))
+                        future = executor.submit(_run_task, sweep.points[i])
                     except BrokenProcessPool:
                         todo.appendleft(i)
                         broken = True
@@ -1143,60 +1153,35 @@ def _run_parallel(
                     for future in done:
                         index, _t0 = running.pop(future)
                         try:
-                            _, payload, delta, task_counters = future.result()
+                            payload, tallies = future.result()
                         except BrokenProcessPool:
                             # The worker died; innocents die with it.
-                            # Re-dispatch without charging an attempt —
-                            # the restart budget bounds crash loops.
                             todo.appendleft(index)
                             broken = True
                         except Exception as exc:
                             charge_attempt(index, exc)
                         else:
-                            finish(index, payload, delta, task_counters)
-                if broken:
-                    for future, (index, _t0) in running.items():
-                        todo.appendleft(index)
-                    running.clear()
-                    restarts += 1
-                    counters["pool_restarts"] += 1
-                    shutdown_hard(executor)
-                    if restarts > policy.max_pool_restarts:
-                        raise WorkerLost(
-                            "worker pool failed %d times" % restarts
-                        )
-                    executor = make_executor()
-                    continue
-                if policy.point_timeout and running:
+                            sweep.settle(index, payload, tallies)
+                if not broken and policy.point_timeout:
                     now = time.monotonic()
                     hung = [
-                        (future, index)
-                        for future, (index, t0) in running.items()
+                        future
+                        for future, (_index, t0) in running.items()
                         if now - t0 > policy.point_timeout
                     ]
-                    if hung:
-                        hung_futures = {future for future, _ in hung}
-                        for future, index in hung:
-                            counters["timeouts"] += 1
-                            charge_attempt(
-                                index,
-                                WorkerLost(
-                                    "worker exceeded the %.3gs point deadline"
-                                    % policy.point_timeout
-                                ),
-                            )
-                        for future, (index, _t0) in running.items():
-                            if future not in hung_futures:
-                                todo.appendleft(index)
-                        running.clear()
-                        restarts += 1
-                        counters["pool_restarts"] += 1
-                        shutdown_hard(executor)
-                        if restarts > policy.max_pool_restarts:
-                            raise WorkerLost(
-                                "worker pool failed %d times" % restarts
-                            )
-                        executor = make_executor()
+                    for future in hung:
+                        index, _t0 = running.pop(future)
+                        counters["timeouts"] += 1
+                        charge_attempt(
+                            index,
+                            WorkerLost(
+                                "worker exceeded the %.3gs point deadline"
+                                % policy.point_timeout
+                            ),
+                        )
+                    broken = bool(hung)
+                if broken:
+                    executor = restart(executor)
         except KeyboardInterrupt:
             # Flush whatever already finished so those points stay
             # checkpointed, then terminate the workers and let
@@ -1204,10 +1189,10 @@ def _run_parallel(
             for future, (index, _t0) in list(running.items()):
                 if future.done():
                     try:
-                        _, payload, delta, task_counters = future.result()
+                        payload, tallies = future.result()
                     except BaseException:
                         continue
-                    finish(index, payload, delta, task_counters)
+                    sweep.settle(index, payload, tallies)
             raise
         except WorkerLost as exc:
             # Graceful degradation: stop trusting process pools and
@@ -1216,13 +1201,6 @@ def _run_parallel(
             sys.stderr.write(
                 "repro: %s; finishing the sweep serially without a pool\n" % exc
             )
-            remaining = [i for i in order if results[i] is None]
-            serial_stats = _run_serial(
-                points, remaining, keys, results, cache, policy, counters
-            )
-            for key, value in serial_stats.items():
-                db_stats[key] = db_stats.get(key, 0) + value
+            _run_serial(sweep, [i for i in order if sweep.results[i] is None])
     finally:
         shutdown_hard(executor)
-    counters["worker_injections"] = worker_injections
-    return db_stats

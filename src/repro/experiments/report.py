@@ -36,6 +36,7 @@ from repro.experiments.runner import ExperimentResult
 from repro.fault import plan as _fault
 from repro.obs import ledger as _ledger
 from repro.obs import spans as _spans
+from repro.util.fingerprint import code_fingerprint
 
 
 def experiment_suite(
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
             "db_bytes_on_disk": store.bytes_on_disk() if store else 0,
             "cpu_count": os.cpu_count(),
             "python": "%d.%d.%d" % sys.version_info[:3],
-            "code_fingerprint": pool.code_fingerprint()[:16],
+            "code_fingerprint": code_fingerprint()[:16],
             "total_seconds": round(total_seconds, 3),
             "experiments": telemetry,
         }
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
             faults=_sum_faults(telemetry),
             db=_round_floats(_sum_nested(telemetry, "db")),
             point_cache=point_cache.stats_snapshot() if point_cache else {},
-            fingerprint=pool.code_fingerprint()[:16],
+            fingerprint=code_fingerprint()[:16],
             spans=prof.rollups() if prof is not None and prof.stats else None,
             fault_config=fault_config,
         )

@@ -32,8 +32,10 @@ epoch-guarded lease contract (see :mod:`repro.storage.buffer`):
 
 * one **same-leaf rule** (:meth:`BTreeFile._same_leaf_run`) serves every
   probe: ``lookup``, ``lookup_one``, ``update_field`` and the cursor.
-  When ``keys[0] <= key < keys[-1]`` on the leased leaf, the run of
-  matching keys ends before the leaf's last key and the literal
+  When ``keys[0] <= key < keys[-1]`` on the leased leaf (``keys[0] <
+  key`` on a non-unique tree, whose run of ``key`` may begin on an
+  earlier leaf), the run of matching keys ends before the leaf's last
+  key and the literal
   ``seek``/``current``/``advance`` walk would make ``2 + 2*matches``
   hits on that one leaf, so the rule does one ``bisect_left``, one
   ``bisect_right`` and counts them in one step.  Any other probe walks
@@ -168,12 +170,18 @@ class BTreeCursor:
         (buffered) page is touched; otherwise a root-to-leaf descent reads
         exactly the target leaf plus the (hot) index pages above it.
         Peeking at sibling leaves to avoid a descent would *cost* a page
-        read, not save one, so it is never done.
+        read, not save one, so it is never done.  On a non-unique tree a
+        leaf that starts with ``key`` may have copies of it on earlier
+        leaves, so seek then descends.
         """
         if self._page_no is not None:
             page = self._touch(self._page_no)
             keys = self.tree._leaf_keys(page)
-            if keys and keys[0] <= key <= keys[-1]:
+            if (
+                keys
+                and keys[0] <= key <= keys[-1]
+                and (keys[0] < key or self.tree.unique)
+            ):
                 self._slot = bisect.bisect_left(keys, key)
                 return
         page_no, slot = self.tree._find_leaf_slot(key)
@@ -473,9 +481,11 @@ class BTreeFile:
         The caller holds a valid lease on the leaf ``page`` and is about
         to walk ``key``'s run with the literal seek/current/advance
         sequence: ``2 + 2*matches`` touches.  When ``keys[0] <= key <
-        keys[-1]`` the seek stays on this leaf and the run ends before
-        its last key, so every touch is a hit on this leaf and they are
-        counted here in one step.  Otherwise nothing is counted and
+        keys[-1]`` (``keys[0] < key`` on a non-unique tree, as in
+        :meth:`BTreeCursor.seek`) the seek stays on this leaf and the
+        run ends before its last key, so every touch is a hit on this
+        leaf and they are counted here in one step.  Otherwise nothing
+        is counted and
         ``hi`` is ``-1``: the walk may fetch another leaf for real (the
         next one, or the root when a cursor's seek descends), so the
         caller runs it.
@@ -487,6 +497,8 @@ class BTreeFile:
         else:
             keys = self._leaf_keys(page)
         if not keys or not keys[0] <= key < keys[-1]:
+            return 0, -1
+        if key == keys[0] and not self.unique:
             return 0, -1
         lo = bisect.bisect_left(keys, key)
         hi = bisect.bisect_right(keys, key, lo)

@@ -56,14 +56,6 @@ class CostReport:
     #: :meth:`repro.obs.Tracer.summary`.
     traced: Optional[Dict[str, Any]] = None
 
-    def __post_init__(self) -> None:
-        # Wall-clock nanoseconds per CostMeter phase (parent/child/
-        # update).  Deliberately NOT a dataclass field: real time varies
-        # run to run, while ``dataclasses.asdict(report)`` equality and
-        # the chaos harness's result digests pin bit-identical measured
-        # results — wall clock rides along as an annotation only.
-        self.wall_ns: Optional[Dict[str, int]] = None
-
     @property
     def avg_io_per_retrieve(self) -> float:
         """The paper's yardstick: sequence I/O amortised per retrieve."""
@@ -259,7 +251,7 @@ def _run_measured(
         }
 
     pool_delta = db.pool.stats.snapshot() - pool_before
-    report = CostReport(
+    return CostReport(
         strategy=strategy.name,
         num_retrieves=retrieves,
         num_updates=updates,
@@ -273,8 +265,16 @@ def _run_measured(
         cache_stats=cache_stats,
         buffer_stats=pool_delta.as_dict(),
     )
-    report.wall_ns = dict(meter.wall_ns)
-    return report
+
+
+def database_for(params: WorkloadParams, strategy: Strategy) -> ComplexObjectDB:
+    """A freshly built database with the facilities ``strategy`` needs.
+
+    The facilities come from
+    :meth:`~repro.core.strategies.base.Strategy.database_needs`.
+    """
+    needs = strategy.database_needs()
+    return needs.prepare(build_database(params, **needs.build_flags()), params)
 
 
 def measure_strategy(
@@ -287,15 +287,11 @@ def measure_strategy(
     """Convenience wrapper: build what is missing, run, report.
 
     A database built here gets exactly the facilities the strategy needs
-    (clustering for DFSCLUST, a cache for DFSCACHE/SMART).
+    (see :func:`database_for`), for every registered strategy.
     """
     strategy = make_strategy(strategy_name, **strategy_kwargs)
     if db is None:
-        db = build_database(
-            params,
-            clustering=strategy.uses_clustering,
-            cache=strategy.uses_cache,
-        )
+        db = database_for(params, strategy)
     if sequence is None:
         sequence = generate_sequence(params, db)
     return run_sequence(db, strategy, sequence)

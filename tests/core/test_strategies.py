@@ -13,6 +13,8 @@ from repro.core.measure import CostMeter
 from repro.core.queries import RetrieveQuery, UpdateQuery
 from repro.core.strategies import REGISTRY, make_strategy
 from repro.errors import QueryError
+from repro.experiments.pool import SweepPoint, run_sweep
+from repro.workload.driver import CostReport, measure_strategy
 from repro.workload.generator import build_database
 
 ALL_EQUIVALENT = ("DFS", "BFS", "DFSCACHE", "DFSCLUST", "SMART")
@@ -48,6 +50,22 @@ class TestRegistry:
         assert make_strategy("DFSCACHE").uses_cache
         assert make_strategy("DFSCLUST").uses_clustering
         assert make_strategy("SMART").uses_cache
+
+
+class TestEveryStrategyGetsItsDatabase:
+    """One rule picks each strategy's database, for every entry point."""
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_measure_strategy(self, tiny_params, name):
+        report = measure_strategy(tiny_params.replace(num_queries=3), name)
+        assert isinstance(report, CostReport)
+        assert report.num_retrieves > 0
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_one_point_sweep(self, tiny_params, name):
+        point = SweepPoint(params=tiny_params, strategy=name, num_retrieves=3)
+        (report,) = run_sweep([point])
+        assert isinstance(report, CostReport)
 
 
 class TestPrerequisites:

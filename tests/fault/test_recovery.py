@@ -280,3 +280,54 @@ class TestPoolRecovery:
         assert faults["timeouts"] >= 1
         assert faults["pool_restarts"] >= 1
         assert faults["quarantined"] == []
+
+    def test_exhausted_restart_budget_finishes_the_sweep_serially(
+        self, tiny_params
+    ):
+        serial = run_sweep(_points(tiny_params, n=3), policy=FAST)
+        fault_plan.install(FaultPlan([FaultSpec("worker.crash", rate=1.0)]))
+        parallel = run_sweep(
+            _points(tiny_params, n=3),
+            jobs=2,
+            policy=dataclasses.replace(FAST, max_pool_restarts=0),
+        )
+        assert [dataclasses.asdict(r) for r in parallel] == [
+            dataclasses.asdict(r) for r in serial
+        ]
+        faults = _last_faults()
+        assert (faults["pool_restarts"], faults["downgrades"]) == (1, 1)
+        assert faults["quarantined"] == []
+
+    def test_parent_side_quarantine_is_settled_like_any_other(
+        self, tiny_params
+    ):
+        # Every task hangs and no retry is allowed: the watchdog charges
+        # each point its only attempt, and the quarantine goes through
+        # the same bookkeeping as a worker-side failure.
+        fault_plan.install(
+            FaultPlan(
+                [FaultSpec("worker.hang", rate=1.0)],
+                hang_seconds=5.0,
+            )
+        )
+        events = []
+        pool.set_progress(lambda event, info: events.append((event, info)))
+        try:
+            points = _points(tiny_params, n=2)
+            results = run_sweep(
+                points,
+                jobs=2,
+                policy=RetryPolicy(
+                    max_retries=0, backoff_seconds=0.001, point_timeout=0.3
+                ),
+            )
+        finally:
+            pool.set_progress(None)
+        assert all(isinstance(r, FailedPoint) for r in results)
+        assert all(r.attempts == 1 for r in results)
+        assert sorted(_last_faults()["quarantined"]) == sorted(
+            pool.point_label(p) for p in points
+        )
+        done = [info for event, info in events if event == "point_done"]
+        assert sorted(info["index"] for info in done) == [0, 1]
+        assert all(info["failed"] for info in done)

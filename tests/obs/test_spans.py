@@ -1,7 +1,5 @@
 """Wall-clock span profiling: off-path cost, nesting, digest neutrality."""
 
-import dataclasses
-
 from repro.fault.chaos import chaos_points, result_digest
 from repro.obs import spans
 from repro.obs.spans import (
@@ -176,12 +174,3 @@ class TestDigestNeutrality:
         # ...and the measured results — including every traced event
         # digest — are bit-identical to the spans-off run.
         assert result_digest(traced) == result_digest(baseline)
-
-    def test_wall_clock_never_reaches_the_report_dataclass(self):
-        from repro.workload.driver import measure_strategy
-        from repro.workload.params import WorkloadParams
-
-        params = WorkloadParams().scaled(0.02)
-        report = measure_strategy(params, "BFS")
-        assert report.wall_ns  # annotation present...
-        assert "wall_ns" not in dataclasses.asdict(report)  # ...invisible

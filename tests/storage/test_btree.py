@@ -265,11 +265,11 @@ class TestNonUniqueRuns:
 
     COPIES = 40
 
-    def _tree(self, order):
+    def _tree(self, order, keys=(5,)):
         catalog = Catalog(64, 256)
         tree = make_tree(catalog, "run", unique=False)
         records = [rec(k, k) for k in range(5)] + [
-            rec(5, 100 + i) for i in range(self.COPIES)
+            rec(key, 100 + i) for key in keys for i in range(self.COPIES)
         ]
         if order == "bulk":
             tree.bulk_load(records)
@@ -289,6 +289,28 @@ class TestNonUniqueRuns:
         assert len(list(tree.range_scan(lo=5, hi=5))) == self.COPIES
         assert len(list(tree.range_scan(lo=5))) == self.COPIES
         assert [r[0] for r in tree.range_scan(lo=4, hi=4)] == [4]
+
+    @pytest.mark.parametrize("order", ["bulk", "sorted", 0, 1, 2, 3])
+    @pytest.mark.parametrize("rewalk", ["seek", "probe"])
+    def test_cursor_inside_a_run_sees_every_copy(self, order, rewalk):
+        # The cursor stops on a leaf that starts with key 5 while copies
+        # of 5 remain on earlier leaves; going back to 5 must find them.
+        tree = self._tree(order, keys=(5, 7))
+        cursor = tree.cursor()
+        cursor.seek(5)
+        for _ in range(self.COPIES // 2):
+            cursor.advance()
+        if rewalk == "probe":
+            matches = cursor.probe(5)
+        else:
+            cursor.seek(5)
+            matches = []
+            while cursor.current() is not None and cursor.current()[0] == 5:
+                matches.append(cursor.current())
+                cursor.advance()
+        assert len(matches) == self.COPIES
+        assert cursor.current()[0] == 7
+        assert len(cursor.probe(7)) == self.COPIES
 
     @pytest.mark.parametrize("order", ["bulk", "sorted", 0, 1, 2, 3])
     def test_writes_reach_every_copy(self, order):

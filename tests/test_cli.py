@@ -34,6 +34,27 @@ class TestRun:
         assert "avg I/O per retrieve" in out
         assert "BFS" in out
 
+    def test_quarantined_point_exits_1_with_its_error(self, capsys, monkeypatch):
+        from repro.experiments import pool
+        from repro.fault import plan as fault_plan
+        from repro.fault.plan import FaultPlan, FaultSpec
+
+        # --max-retries rewrites the process-wide default policy.
+        monkeypatch.setattr(pool, "DEFAULT_POLICY", pool.DEFAULT_POLICY)
+        fault_plan.install(FaultPlan([FaultSpec("point.poison", count=1)]))
+        try:
+            code = main(
+                ["run", "--strategy", "BFS", "--scale", "0.02",
+                 "--num-queries", "3", "--no-db-cache", "--max-retries", "0"]
+            )
+        finally:
+            fault_plan.clear()
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "avg I/O per retrieve" not in captured.out
+        assert "BFS quarantined after 1 attempt(s)" in captured.err
+        assert "point.poison" in captured.err
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--strategy", "NOPE"])
